@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -22,26 +22,14 @@ from .mixup import BetaSpec, make_mixup_batch, mix_pair, sample_lambda
 from .theory import TheoryParams
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _atomic_write(path: str, write) -> None:
+    """Run ``write`` on a temporary path beside ``path``, named after this
+    process and the target, then rename it into place. ``write`` creates
+    the file, so it gets the mode the umask allows."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{name}")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_via(path: str, writer) -> None:
-    """Run a path-taking writer against a temp file, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        writer(tmp)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,28 +61,25 @@ def cmd_theory_solve(args) -> int:
     except (KernelSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    summary_path = args.summary_out
     if args.out:
-        _atomic_write_via(args.out, lambda p: theory.features_to_csv(records, p))
-        summary_path = args.summary_out or args.out + ".summary.json"
-        _atomic_write_text(
-            summary_path,
-            json.dumps(
-                {
-                    "C": args.C,
-                    "m": args.m,
-                    "d": args.d,
-                    "lambda_h": args.lambda_h,
-                    "classes": args.classes,
-                    "samples": args.samples,
-                    "alpha": args.alpha,
-                    "seed": args.seed,
-                    "amplified": bool(args.amplify),
-                    "mean_per_sample_loss": report.mean_per_sample,
-                },
-                indent=2,
-            )
-            + "\n",
-        )
+        _atomic_write(args.out, lambda p: theory.features_to_csv(records, p))
+        summary_path = summary_path or args.out + ".summary.json"
+    if summary_path:
+        summary = {
+            "C": args.C,
+            "m": args.m,
+            "d": args.d,
+            "lambda_h": args.lambda_h,
+            "classes": args.classes,
+            "samples": args.samples,
+            "alpha": args.alpha,
+            "seed": args.seed,
+            "amplified": bool(args.amplify),
+            "mean_per_sample_loss": report.mean_per_sample,
+        }
+        text = json.dumps(summary, indent=2) + "\n"
+        _atomic_write(summary_path, lambda p: Path(p).write_text(text))
     print(f"{report.mean_per_sample:.6f}")
     return 0
 
@@ -125,21 +110,18 @@ def cmd_oracle_check(args) -> int:
                 same = theory.solve_same_class(params)
                 frame = build_simplex_etf(C, C, m, seed=0)
                 cfg = ufm.UfmConfig(lambda_h=lh)
-                for lam in lams:
-                    try:
-                        sol = theory.solve_different_class(params, lam)
-                        rec = theory.assemble_feature(sol, frame, 0, 1)
-                        h = rec.h
-                        if args.perturb:
-                            h = h + args.perturb
-                        resid = float(
-                            np.linalg.norm(
-                                ufm.per_sample_grad(frame.rows, h, 0, 1, lam, cfg)
-                            )
-                        )
-                    except KernelSolveError as exc:
-                        print(f"error: {exc}", file=sys.stderr)
-                        return 1
+                try:
+                    sols = theory.solve_different_classes(params, lams)
+                except KernelSolveError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
+                for lam, sol in zip(lams, sols):
+                    h = theory.assemble_feature(sol, frame, 0, 1).h
+                    if args.perturb:
+                        h = h + args.perturb
+                    resid = float(
+                        np.linalg.norm(ufm.per_sample_grad(frame.rows, h, 0, 1, lam, cfg))
+                    )
                     worst = max(worst, resid)
                     ok = resid <= args.tol_grad
                     failed = failed or not ok
@@ -252,9 +234,11 @@ def cmd_train(args) -> int:
     except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _atomic_write_text(args.out, trainer.model_to_json(model) + "\n")
+    model_text = trainer.model_to_json(model) + "\n"
+    _atomic_write(args.out, lambda p: Path(p).write_text(model_text))
     if args.dataset_out:
-        _atomic_write_text(args.dataset_out, trainer.dataset_to_csv(*data))
+        data_text = trainer.dataset_to_csv(*data)
+        _atomic_write(args.dataset_out, lambda p: Path(p).write_text(data_text))
     final = model.history[-1] if model.history else None
     if final is not None:
         print(f"final loss {final.loss:.6f} accuracy {final.accuracy:.4f}")
@@ -278,7 +262,7 @@ def cmd_extract(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _atomic_write_via(args.out, lambda p: theory.features_to_csv(records, p))
+    _atomic_write(args.out, lambda p: theory.features_to_csv(records, p))
     print(f"wrote {len(records)} activation records")
     return 0
 
@@ -304,7 +288,8 @@ def cmd_project(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _atomic_write_text(args.out, projection.points_to_csv(points))
+    text = projection.points_to_csv(points)
+    _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote {len(points)} projected points")
     return 0
 
@@ -340,7 +325,8 @@ def cmd_ece(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        _atomic_write_text(args.out, calibration.report_to_json(report) + "\n")
+        text = calibration.report_to_json(report) + "\n"
+        _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"{report.ece:.6f}")
     return 0
 
@@ -388,7 +374,8 @@ def cmd_trajectory(args) -> int:
     lines = ["layer,px,py"]
     for depth, p in enumerate(points):
         lines.append(f"{depth},{float(p[0])!r},{float(p[1])!r}")
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote trajectory of {len(points)} layers")
     return 0
 

@@ -9,7 +9,6 @@ channel amplification used for the perturbed configuration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -118,7 +117,7 @@ def solve_same_class(params: TheoryParams) -> SameClassSolution:
         inner_self=(1.0 - C) * k,
         inner_tail=k,
         coeff=(1.0 - C) * k / m2,
-        residual=abs(kernels.same_class_equation(k, C, m2, lh)),
+        residual=abs(float(kernels.same_class_equation(k, C, m2, lh))),
     )
 
 
@@ -155,12 +154,11 @@ def _diff_from_same(params: TheoryParams, lam: float) -> DifferentClassSolution:
     return replace(sol, residual=_diff_gradient_norm(sol, params.lambda_h))
 
 
-def _diff_two_class(params: TheoryParams, lam: float) -> DifferentClassSolution:
-    """C = 2: no tail classes. Inner products are +/-x with x solving a
-    single increasing scalar equation; the tail value degenerates to 0
+def _diff_two_class(params: TheoryParams, lam: float, x: float) -> DifferentClassSolution:
+    """C = 2: no tail classes. Inner products are +/-x with x the root of
+    a single increasing scalar equation; the tail value degenerates to 0
     (stored as k_lambda = 0 with p_tail = 0)."""
     m2 = params.m**2
-    x = kernels.solve_two_class_inner(m2, params.lambda_h, lam)
     s = math.exp(x) + math.exp(-x)
     sol = DifferentClassSolution(
         num_classes=2,
@@ -180,18 +178,11 @@ def _diff_two_class(params: TheoryParams, lam: float) -> DifferentClassSolution:
     return replace(sol, residual=_diff_gradient_norm(sol, params.lambda_h))
 
 
-def solve_different_class(params: TheoryParams, lam: float) -> DifferentClassSolution:
-    """Fixed-point solve for the different-class feature at coefficient
-    lam in [0, 1]. Degenerate targets (lam exactly 0 or 1) reuse the
-    same-class solve; C = 2 takes its own scalar path."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    if lam == 0.0 or lam == 1.0:
-        return _diff_from_same(params, lam)
-    if params.C == 2:
-        return _diff_two_class(params, lam)
+def _diff_from_root(
+    params: TheoryParams, lam: float, k: float, inner_i: float
+) -> DifferentClassSolution:
+    """C >= 3: the solution fixed by the tail value k and inner_i."""
     C, m2, lh = params.C, params.m**2, params.lambda_h
-    k, inner_i = kernels.solve_diff_k(C, m2, lh, lam)
     inner_ip = -(C - 2.0) * k - inner_i
     p_tail = (1.0 - C) * lh * k / (C * m2)
     p_i = lam + (1.0 - C) * lh * inner_i / (C * m2)
@@ -217,6 +208,37 @@ def solve_different_class(params: TheoryParams, lam: float) -> DifferentClassSol
             f"solution probabilities out of range: p_i={p_i}, p_ip={p_ip}"
         )
     return sol
+
+
+def solve_different_classes(params: TheoryParams, lams) -> list[DifferentClassSolution]:
+    """Fixed-point solves for the different-class feature, one per
+    coefficient in lams (each in [0, 1]). The distinct interior
+    coefficients are solved as one array; degenerate targets (lam
+    exactly 0 or 1) reuse the same-class solve; C = 2 takes its own
+    scalar equation."""
+    lams = [float(v) for v in lams]
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    interior = list(dict.fromkeys(v for v in lams if 0.0 < v < 1.0))
+    m2, lh = params.m**2, params.lambda_h
+    if params.C == 2:
+        xs = kernels.solve_two_class_inner(m2, lh, interior).tolist()
+        solved = [_diff_two_class(params, lam, x) for lam, x in zip(interior, xs)]
+    else:
+        ks, xs = kernels.solve_diff_k(params.C, m2, lh, interior)
+        solved = [
+            _diff_from_root(params, lam, k, x)
+            for lam, k, x in zip(interior, ks.tolist(), xs.tolist())
+        ]
+    by_lam = dict(zip(interior, solved))
+    return [by_lam[lam] if lam in by_lam else _diff_from_same(params, lam) for lam in lams]
+
+
+def solve_different_class(params: TheoryParams, lam: float) -> DifferentClassSolution:
+    """Fixed-point solve for the different-class feature at one
+    coefficient lam in [0, 1]; see solve_different_classes."""
+    return solve_different_classes(params, [lam])[0]
 
 
 def assemble_feature(solution, etf: SimplexEtf, i: int, ip: int) -> FeatureRecord:
@@ -282,7 +304,7 @@ def generate_configuration(
         if not 0 <= c < params.C:
             raise ValueError(f"class {c} out of range for C={params.C}")
     same = solve_same_class(params)
-    diff_cache: dict[float, DifferentClassSolution] = {}
+    diff = dict(zip(lambda_samples, solve_different_classes(params, lambda_samples)))
     records = []
     for lam in lambda_samples:
         for i in class_subset:
@@ -291,11 +313,7 @@ def generate_configuration(
                     rec = assemble_feature(same, etf, i, ip)
                     rec.lam = lam
                 else:
-                    sol = diff_cache.get(lam)
-                    if sol is None:
-                        sol = solve_different_class(params, lam)
-                        diff_cache[lam] = sol
-                    rec = assemble_feature(sol, etf, i, ip)
+                    rec = assemble_feature(diff[lam], etf, i, ip)
                 if amplified:
                     rec = amplify(rec, etf)
                 records.append(rec)
@@ -351,38 +369,3 @@ def features_from_csv(path) -> list[FeatureRecord]:
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad feature row: {exc}")
     return records
-
-
-def features_to_compact_json(params: TheoryParams, records) -> str:
-    """Compact JSON: per record only the defining scalars (root, inner
-    product, and the two row coefficients)."""
-    same = None
-    diff_cache: dict[float, DifferentClassSolution] = {}
-    out = []
-    m2 = params.m**2
-    for r in records:
-        if r.kind == SAME_CLASS:
-            if same is None:
-                same = solve_same_class(params)
-            out.append(
-                {
-                    "K": same.k,
-                    "inner_i": same.inner_self,
-                    "coeff_i": same.coeff,
-                    "coeff_ip": 0.0,
-                }
-            )
-        else:
-            sol = diff_cache.get(r.lam)
-            if sol is None:
-                sol = solve_different_class(params, r.lam)
-                diff_cache[r.lam] = sol
-            out.append(
-                {
-                    "K_lambda": sol.k_lambda,
-                    "inner_i": sol.inner_i,
-                    "coeff_i": sol.coeff_i,
-                    "coeff_ip": sol.coeff_ip,
-                }
-            )
-    return json.dumps(out)

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,39 @@ def test_theory_solve_byte_determinism(tmp_path, capsys):
     run(["theory-solve", "--samples", "20", "--out", str(a)], capsys)
     run(["theory-solve", "--samples", "20", "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_theory_solve_converges_with_the_tail_root_near_zero(capsys):
+    # The tail root here is k ~ -2.5e-7.
+    code, _, stderr = run(
+        ["theory-solve", "--C", "1000", "--d", "1000", "--m", "0.05",
+         "--lambda-h", "10", "--classes", "2", "--samples", "5"],
+        capsys,
+    )
+    assert code == 0, stderr
+
+
+def test_outputs_get_the_mode_the_umask_allows(tmp_path, capsys):
+    out = tmp_path / "features.csv"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(["theory-solve", "--samples", "3", "--out", str(out)], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, tmp_path / "features.csv.summary.json"):
+        assert path.stat().st_mode & 0o777 == 0o644
+
+
+def test_theory_solve_writes_summary_without_features(tmp_path, capsys):
+    summary = tmp_path / "s.json"
+    code, stdout, _ = run(
+        ["theory-solve", "--samples", "3", "--summary-out", str(summary)], capsys
+    )
+    assert code == 0
+    loss = json.loads(summary.read_text())["mean_per_sample_loss"]
+    assert f"{loss:.6f}" == stdout.strip()
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
 
 def test_oracle_check_small_grid(capsys):

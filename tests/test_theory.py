@@ -1,12 +1,7 @@
-import json
-import os
-
 import numpy as np
 import pytest
 
-from mixupgeom import kernels
 from mixupgeom.etf import build_simplex_etf
-from mixupgeom.kernels import pure
 from mixupgeom.mixup import DIFFERENT_CLASS, SAME_CLASS
 from mixupgeom.theory import (
     TheoryParams,
@@ -14,7 +9,6 @@ from mixupgeom.theory import (
     assemble_feature,
     epsilon_amplification,
     features_from_csv,
-    features_to_compact_json,
     features_to_csv,
     generate_configuration,
     solve_different_class,
@@ -196,32 +190,8 @@ def test_feature_csv_errors(tmp_path):
         features_from_csv(bad)
 
 
-def test_compact_json():
-    frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = generate_configuration(PARAMS, frame, [0, 1], [0.4])
-    doc = json.loads(features_to_compact_json(PARAMS, records))
-    assert len(doc) == len(records)
-    same_keys = {"K", "inner_i", "coeff_i", "coeff_ip"}
-    diff_keys = {"K_lambda", "inner_i", "coeff_i", "coeff_ip"}
-    for rec, entry in zip(records, doc):
-        assert set(entry) == (same_keys if rec.kind == SAME_CLASS else diff_keys)
-
-
 def test_assemble_rejects_mismatched_frame():
     frame = build_simplex_etf(5, 8, 3.0, seed=0)
     sol = solve_same_class(PARAMS)  # C=10 solution
     with pytest.raises(ValueError):
         assemble_feature(sol, frame, 0, 0)
-
-
-def test_backends_agree_bit_for_bit():
-    if kernels.BACKEND == "pure":
-        pytest.skip("compiled backend not available")
-    for C, m2, lh in [(10, 9.0, 1e-6), (3, 1.0, 1e-2), (5, 9.0, 1e-2)]:
-        assert kernels.solve_same_class_k(C, m2, lh) == pure.solve_same_class_k(
-            C, m2, lh
-        )
-        for lam in (0.1, 0.5, 0.73):
-            assert kernels.solve_diff_k(C, m2, lh, lam) == pure.solve_diff_k(
-                C, m2, lh, lam
-            )
