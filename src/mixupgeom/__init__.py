@@ -15,10 +15,10 @@ from .mixup import (
     DIFFERENT_CLASS,
     SAME_CLASS,
     BetaSpec,
-    MixupSample,
+    MixupBatch,
     make_mixup_batch,
-    mix_pair,
-    sample_lambda,
+    mix,
+    sample_lambdas,
 )
 from .theory import (
     DifferentClassSolution,
@@ -52,7 +52,7 @@ __all__ = [
     "EtfMetrics",
     "FeatureRecord",
     "MinimizeOptions",
-    "MixupSample",
+    "MixupBatch",
     "ObjectiveReport",
     "SAME_CLASS",
     "SameClassSolution",
@@ -67,10 +67,10 @@ __all__ = [
     "generate_configuration",
     "make_mixup_batch",
     "minimize_per_sample",
-    "mix_pair",
+    "mix",
     "per_sample_grad",
     "per_sample_loss",
-    "sample_lambda",
+    "sample_lambdas",
     "softmax_probs",
     "solve_different_class",
     "solve_same_class",

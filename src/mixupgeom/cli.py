@@ -8,9 +8,11 @@ rename), and repeated invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from . import calibration, projection, theory, trainer, ufm
 from .etf import build_simplex_etf, etf_deviation_metrics, read_classifier_csv
 from .kernels import KernelSolveError, same_class_equation
-from .mixup import BetaSpec, make_mixup_batch, mix_pair, sample_lambda
+from .mixup import BetaSpec, make_mixup_batch, mix, sample_lambdas
 from .theory import TheoryParams
 
 
@@ -51,8 +53,7 @@ def cmd_theory_solve(args) -> int:
         params = TheoryParams(C=args.C, m=args.m, lambda_h=args.lambda_h, d=args.d)
         frame = build_simplex_etf(args.C, args.d, args.m, args.seed)
         rng = np.random.default_rng(args.seed)
-        spec = BetaSpec(args.alpha)
-        lams = [sample_lambda(spec, rng) for _ in range(args.samples)]
+        lams = sample_lambdas(BetaSpec(args.alpha), args.samples, rng)
         records = theory.generate_configuration(
             params, frame, range(args.classes), lams, amplified=args.amplify
         )
@@ -145,29 +146,15 @@ def cmd_oracle_check(args) -> int:
 # ----------------------------------------------------------------------- train
 
 
-_DATASET_KEYS = {
-    "dataset.num_classes": int,
-    "dataset.input_dim": int,
-    "dataset.mean_scale": float,
-    "dataset.noise_scale": float,
-    "dataset.samples_per_class": int,
-    "dataset.seed": int,
-}
-_TRAIN_KEYS = {
-    "train.hidden_layers": int,
-    "train.width": int,
-    "train.activation": str,
-    "train.epochs": int,
-    "train.batch_size": int,
-    "train.learning_rate": float,
-    "train.momentum": float,
-    "train.weight_decay": float,
-    "train.mixup_alpha": float,
-    "train.loss_kind": str,
-    "train.classifier_mode": str,
-    "train.etf_multiplier": float,
-    "train.seed": int,
-}
+def _config_keys() -> dict:
+    """Every config key with the type of its value, taken from the
+    default: dataset.* are the parameters of trainer.default_dataset_spec,
+    train.* the fields of trainer.TrainConfig."""
+    spec = inspect.signature(trainer.default_dataset_spec).parameters.values()
+    keys = {f"dataset.{p.name}": type(p.default) for p in spec}
+    for f in fields(trainer.TrainConfig):
+        keys[f"train.{f.name}"] = type(f.default)
+    return keys
 
 
 def parse_config(text: str) -> dict:
@@ -175,7 +162,7 @@ def parse_config(text: str) -> dict:
 
     Unknown keys are rejected with their line number.
     """
-    known = {**_DATASET_KEYS, **_TRAIN_KEYS}
+    known = _config_keys()
     out = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -195,42 +182,18 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _dataset_from_config(cfg: dict) -> trainer.SyntheticDataset:
-    num_classes = cfg.get("dataset.num_classes", 3)
-    input_dim = cfg.get("dataset.input_dim", 2)
-    scale = cfg.get("dataset.mean_scale", 4.0)
-    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
-    means = np.zeros((num_classes, input_dim))
-    means[:, 0] = scale * np.cos(angles)
-    if input_dim > 1:
-        means[:, 1] = scale * np.sin(angles)
-    return trainer.SyntheticDataset(
-        num_classes=num_classes,
-        input_dim=input_dim,
-        class_means=means,
-        noise_scale=cfg.get("dataset.noise_scale", 0.5),
-        samples_per_class=cfg.get("dataset.samples_per_class", 500),
-        seed=cfg.get("dataset.seed", 0),
-    )
-
-
-def _train_config_from_config(cfg: dict) -> trainer.TrainConfig:
-    kwargs = {
-        key.split(".", 1)[1]: value
-        for key, value in cfg.items()
-        if key.startswith("train.")
-    }
-    return trainer.TrainConfig(**kwargs)
+def _section(cfg: dict, prefix: str) -> dict:
+    """The config values whose keys start with prefix, keyed by the rest."""
+    return {k[len(prefix) :]: v for k, v in cfg.items() if k.startswith(prefix)}
 
 
 def cmd_train(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-        spec = _dataset_from_config(cfg)
-        tcfg = _train_config_from_config(cfg)
+        spec = trainer.default_dataset_spec(**_section(cfg, "dataset."))
         data = trainer.make_synthetic(spec)
-        model = trainer.train(data, tcfg)
+        model = trainer.train(data, trainer.TrainConfig(**_section(cfg, "train.")))
     except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -255,10 +218,10 @@ def cmd_extract(args) -> int:
         with open(args.dataset) as fh:
             inputs, labels = trainer.dataset_from_csv(fh.read())
         rng = np.random.default_rng(args.seed)
-        samples = make_mixup_batch(
+        batch = make_mixup_batch(
             inputs, labels, BetaSpec(args.alpha), args.count, rng, model.num_classes
         )
-        records = trainer.extract_activations(model, samples)
+        records = trainer.extract_activations(model, batch)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -357,15 +320,8 @@ def cmd_trajectory(args) -> int:
         classes = tuple(_parse_list(args.classes, int))
         if len(classes) != 3:
             raise ValueError(f"--classes needs exactly 3 ids, got {args.classes!r}")
-        eye = np.eye(model.num_classes)
-        sample = mix_pair(
-            inputs[args.i],
-            eye[labels[args.i]],
-            inputs[args.j],
-            eye[labels[args.j]],
-            args.lam,
-        )
-        layers = trainer.layer_trajectory(model, sample)
+        batch = mix(inputs, labels, [args.i], [args.j], [args.lam], model.num_classes)
+        layers = trainer.layer_trajectory(model, batch.x[0])
         op = projection.build_projection(model.clf_w[list(classes)], None, classes)
         points = [projection.project_vector(op, h) for h in layers]
     except (ValueError, OSError, IndexError) as exc:

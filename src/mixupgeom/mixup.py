@@ -1,4 +1,4 @@
-"""Mixup coefficient sampling and pair mixing.
+"""Mixup coefficient sampling and batch mixing.
 
 All randomness flows through an explicit numpy Generator passed by the
 caller; there is no hidden global state.
@@ -26,43 +26,76 @@ class BetaSpec:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass
-class MixupSample:
-    x: np.ndarray
-    y: np.ndarray  # soft label, sums to 1
-    lam: float
-    src_i: int
-    src_j: int
-    kind: str  # SAME_CLASS or DIFFERENT_CLASS
+@dataclass(frozen=True)
+class MixupBatch:
+    """n mixed samples as arrays. Row k mixes dataset rows src_i[k] and
+    src_j[k] with coefficient lam[k]; class_i and class_ip are their hard
+    labels."""
+
+    x: np.ndarray  # n x D
+    y: np.ndarray  # n x C soft labels, rows sum to 1
+    lam: np.ndarray  # n
+    class_i: np.ndarray  # n
+    class_ip: np.ndarray  # n
+    src_i: np.ndarray  # n
+    src_j: np.ndarray  # n
+
+    @property
+    def kind(self) -> np.ndarray:
+        """SAME_CLASS where both sources share a class, else DIFFERENT_CLASS."""
+        return np.where(self.class_i == self.class_ip, SAME_CLASS, DIFFERENT_CLASS)
+
+    def __len__(self) -> int:
+        return len(self.lam)
 
 
-def sample_lambda(spec: BetaSpec, rng: np.random.Generator) -> float:
-    """One Beta(alpha, alpha) draw via the two-Gamma ratio."""
-    g1 = rng.gamma(spec.alpha)
-    g2 = rng.gamma(spec.alpha)
-    return float(g1 / (g1 + g2))
+def sample_lambdas(spec: BetaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Beta(alpha, alpha) draws via the two-Gamma ratio. The stream is
+    that of drawing each sample's two Gammas in turn."""
+    g = rng.gamma(spec.alpha, size=(n, 2))
+    return g[:, 0] / (g[:, 0] + g[:, 1])
 
 
-def mix_pair(x_i, y_i, x_j, y_j, lam: float) -> MixupSample:
-    """Convex combination of two labelled points with coefficient lam."""
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    y_i = np.asarray(y_i, dtype=float)
-    y_j = np.asarray(y_j, dtype=float)
-    if x_i.shape != x_j.shape:
-        raise ValueError(f"input shapes differ: {x_i.shape} vs {x_j.shape}")
-    if y_i.shape != y_j.shape:
-        raise ValueError(f"label shapes differ: {y_i.shape} vs {y_j.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    kind = SAME_CLASS if np.array_equal(y_i, y_j) else DIFFERENT_CLASS
-    return MixupSample(
-        x=lam * x_i + (1.0 - lam) * x_j,
-        y=lam * y_i + (1.0 - lam) * y_j,
-        lam=float(lam),
-        src_i=-1,
-        src_j=-1,
-        kind=kind,
+def mix(inputs, labels, i, j, lam, num_classes: int) -> MixupBatch:
+    """Mix dataset row i[k] with row j[k] by lam[k], for every k at once.
+
+    i, j and lam are 1-D arrays of one length. Labels must be classes in
+    [0, num_classes); a bad one is reported by its dataset line (row k is
+    line k + 2, after the header). Source indices must be rows of the
+    dataset and lam must lie in [0, 1].
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    i = np.asarray(i, dtype=int)
+    j = np.asarray(j, dtype=int)
+    lam = np.asarray(lam, dtype=float)
+    n = len(inputs)
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        row = bad[0]
+        raise ValueError(
+            f"dataset line {row + 2}: label {labels[row]} is not in [0, {num_classes})"
+        )
+    for name, src in (("i", i), ("j", j)):
+        bad = src[(src < 0) | (src >= n)]
+        if bad.size:
+            raise ValueError(
+                f"source index {name}={bad[0]} is not a row of the {n}-row dataset"
+            )
+    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+    if bad.size:
+        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
+    eye = np.eye(num_classes)
+    class_i, class_ip = labels[i], labels[j]
+    w = lam[:, None]
+    return MixupBatch(
+        x=w * inputs[i] + (1.0 - w) * inputs[j],
+        y=w * eye[class_i] + (1.0 - w) * eye[class_ip],
+        lam=lam,
+        class_i=class_i,
+        class_ip=class_ip,
+        src_i=i,
+        src_j=j,
     )
 
 
@@ -72,26 +105,14 @@ def make_mixup_batch(
     spec: BetaSpec,
     batch_size: int,
     rng: np.random.Generator,
-    num_classes: int | None = None,
-) -> list[MixupSample]:
+    num_classes: int,
+) -> MixupBatch:
     """batch_size mixed samples from uniformly drawn ordered index pairs,
     one independent lambda per sample."""
-    inputs = np.asarray(inputs, dtype=float)
-    hard_labels = np.asarray(hard_labels)
     n = len(inputs)
     if n == 0:
         raise ValueError("empty dataset")
-    if num_classes is None:
-        num_classes = int(hard_labels.max()) + 1
-    eye = np.eye(num_classes)
-    out = []
-    for _ in range(batch_size):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        lam = sample_lambda(spec, rng)
-        s = mix_pair(
-            inputs[i], eye[hard_labels[i]], inputs[j], eye[hard_labels[j]], lam
-        )
-        s.src_i, s.src_j = i, j
-        out.append(s)
-    return out
+    i = rng.integers(n, size=batch_size)
+    j = rng.integers(n, size=batch_size)
+    lam = sample_lambdas(spec, batch_size, rng)
+    return mix(inputs, hard_labels, i, j, lam, num_classes)

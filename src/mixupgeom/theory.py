@@ -121,10 +121,11 @@ def solve_same_class(params: TheoryParams) -> SameClassSolution:
     )
 
 
-def _diff_from_same(params: TheoryParams, lam: float) -> DifferentClassSolution:
+def _diff_from_same(
+    params: TheoryParams, same: SameClassSolution, lam: float
+) -> DifferentClassSolution:
     """Degenerate lam in {0, 1}: the target is one-hot, so the solution
     is the same-class one for the surviving class."""
-    same = solve_same_class(params)
     C, m2 = params.C, params.m**2
     k = same.k
     p = params.lambda_h * (1.0 - C) * k / (C * m2)
@@ -214,7 +215,7 @@ def solve_different_classes(params: TheoryParams, lams) -> list[DifferentClassSo
     """Fixed-point solves for the different-class feature, one per
     coefficient in lams (each in [0, 1]). The distinct interior
     coefficients are solved as one array; degenerate targets (lam
-    exactly 0 or 1) reuse the same-class solve; C = 2 takes its own
+    exactly 0 or 1) share one same-class solve; C = 2 takes its own
     scalar equation."""
     lams = [float(v) for v in lams]
     for lam in lams:
@@ -232,7 +233,8 @@ def solve_different_classes(params: TheoryParams, lams) -> list[DifferentClassSo
             for lam, k, x in zip(interior, ks.tolist(), xs.tolist())
         ]
     by_lam = dict(zip(interior, solved))
-    return [by_lam[lam] if lam in by_lam else _diff_from_same(params, lam) for lam in lams]
+    same = solve_same_class(params) if any(lam in (0.0, 1.0) for lam in lams) else None
+    return [by_lam.get(lam) or _diff_from_same(params, same, lam) for lam in lams]
 
 
 def solve_different_class(params: TheoryParams, lam: float) -> DifferentClassSolution:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .etf import EtfMetrics, build_simplex_etf, etf_deviation_metrics
-from .mixup import BetaSpec, MixupSample, make_mixup_batch
+from .mixup import BetaSpec, MixupBatch, make_mixup_batch
 from .theory import FeatureRecord
 
 RELU = "relu"
@@ -55,6 +55,8 @@ class SyntheticDataset:
                 f"({self.num_classes}, {self.input_dim})"
             )
         object.__setattr__(self, "class_means", means)
+        if self.num_classes < 1 or self.input_dim < 1:
+            raise ValueError("need at least one class and one input dimension")
         if self.noise_scale < 0:
             raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
         if self.samples_per_class < 1:
@@ -69,16 +71,28 @@ class SyntheticDataset:
                     )
 
 
-def default_dataset_spec(seed: int = 0) -> SyntheticDataset:
-    """Three well-separated blobs in the plane, 500 points each."""
-    angles = 2.0 * np.pi * np.arange(3) / 3.0
-    means = 4.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+def default_dataset_spec(
+    seed: int = 0,
+    num_classes: int = 3,
+    input_dim: int = 2,
+    mean_scale: float = 4.0,
+    noise_scale: float = 0.5,
+    samples_per_class: int = 500,
+) -> SyntheticDataset:
+    """Blobs whose means are spaced evenly on a circle of radius
+    mean_scale in the first two input coordinates (on the first axis
+    alone when input_dim is 1). The defaults give three blobs in the
+    plane, 500 points each."""
+    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+    circle = mean_scale * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    means = np.zeros((num_classes, input_dim))
+    means[:, :2] = circle[:, :input_dim]
     return SyntheticDataset(
-        num_classes=3,
-        input_dim=2,
+        num_classes=num_classes,
+        input_dim=input_dim,
         class_means=means,
-        noise_scale=0.5,
-        samples_per_class=500,
+        noise_scale=noise_scale,
+        samples_per_class=samples_per_class,
         seed=seed,
     )
 
@@ -285,8 +299,7 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
                 batch = make_mixup_batch(
                     inputs, labels, spec, cfg.batch_size, rng, num_classes
                 )
-                xb = np.stack([s.x for s in batch])
-                tb = np.stack([s.y for s in batch])
+                xb, tb = batch.x, batch.y
             else:
                 idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
                 if len(idx) == 0:
@@ -323,16 +336,14 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
     return model
 
 
+def _forward(model: TrainedModel, x: np.ndarray):
+    """forward_pass with the model's parameters."""
+    params = (model.weights, model.biases, model.clf_w, model.clf_b)
+    return forward_pass(*params, model.config.activation, x)
+
+
 def predict_logits(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    _, _, logits = forward_pass(
-        model.weights,
-        model.biases,
-        model.clf_w,
-        model.clf_b,
-        model.config.activation,
-        x,
-    )
-    return logits
+    return _forward(model, x)[2]
 
 
 def predict_probs(model: TrainedModel, x: np.ndarray) -> np.ndarray:
@@ -344,61 +355,23 @@ def accuracy(model: TrainedModel, x: np.ndarray, labels: np.ndarray) -> float:
     return float((pred == np.asarray(labels)).mean())
 
 
-def _source_classes(sample: MixupSample) -> tuple[int, int]:
-    """Recover (i, ip) from the soft label: class i carries weight lam.
-
-    A one-hot label (lam at the boundary, or a same-class pair) maps
-    both slots to the single nonzero class.
-    """
-    nz = np.flatnonzero(sample.y > 0.0)
-    if len(nz) == 1:
-        return int(nz[0]), int(nz[0])
-    a, b = int(nz[0]), int(nz[1])
-    if abs(sample.y[a] - sample.lam) <= abs(sample.y[b] - sample.lam):
-        return a, b
-    return b, a
-
-
-def extract_activations(model: TrainedModel, samples) -> list[FeatureRecord]:
+def extract_activations(model: TrainedModel, batch: MixupBatch) -> list[FeatureRecord]:
     """Penultimate post-activation vector of each mixed sample, tagged
     with its source classes, lambda, and kind; order preserved."""
-    out = []
-    for sample in samples:
-        _, post, _ = forward_pass(
-            model.weights,
-            model.biases,
-            model.clf_w,
-            model.clf_b,
-            model.config.activation,
-            sample.x[None, :],
-        )
-        i, ip = _source_classes(sample)
-        out.append(
-            FeatureRecord(
-                class_i=i,
-                class_ip=ip,
-                lam=sample.lam,
-                h=post[-1][0].copy(),
-                kind=sample.kind,
-                amplified=False,
-            )
-        )
-    return out
+    _, post, _ = _forward(model, batch.x)
+    tags = (batch.class_i.tolist(), batch.class_ip.tolist(), batch.lam.tolist())
+    return [
+        FeatureRecord(i, ip, lam, h, kind)
+        for i, ip, lam, h, kind in zip(*tags, post[-1], batch.kind.tolist())
+    ]
 
 
-def layer_trajectory(model: TrainedModel, sample: MixupSample) -> list:
-    """Post-activation hidden vector at every depth for one input; all
+def layer_trajectory(model: TrainedModel, x: np.ndarray) -> list:
+    """Post-activation hidden vector at every depth for one input x; all
     entries share the hidden width, so one projection operator serves
     the whole trajectory."""
-    _, post, _ = forward_pass(
-        model.weights,
-        model.biases,
-        model.clf_w,
-        model.clf_b,
-        model.config.activation,
-        np.asarray(sample.x, dtype=float)[None, :],
-    )
-    return [layer[0].copy() for layer in post]
+    _, post, _ = _forward(model, np.asarray(x, dtype=float)[None, :])
+    return [layer[0] for layer in post]
 
 
 def model_to_json(model: TrainedModel) -> str:
@@ -440,25 +413,67 @@ def model_to_json(model: TrainedModel) -> str:
     )
 
 
+_MODEL_KEYS = "config input_dim num_classes weights biases clf_w clf_b history".split()
+
+
 def model_from_json(text: str) -> TrainedModel:
+    """Parse model_to_json output. A malformed model raises ValueError
+    naming the missing key, the bad config or the layer whose shape does
+    not chain from input_dim to num_classes."""
     doc = json.loads(text)
-    cfg = TrainConfig(**doc["config"])
-    return TrainedModel(
-        config=cfg,
-        input_dim=int(doc["input_dim"]),
-        num_classes=int(doc["num_classes"]),
-        weights=[np.array(w) for w in doc["weights"]],
-        biases=[np.array(b) for b in doc["biases"]],
-        clf_w=np.array(doc["clf_w"]),
-        clf_b=np.array(doc["clf_b"]),
-        history=[
+    if not isinstance(doc, dict):
+        raise ValueError("model JSON: expected an object")
+    for key in _MODEL_KEYS:
+        if key not in doc:
+            raise ValueError(f"model JSON: missing key {key!r}")
+    try:
+        cfg = TrainConfig(**doc["config"])
+    except TypeError as exc:
+        raise ValueError(f"model JSON: bad config: {exc}") from None
+    try:
+        weights = [np.array(w, dtype=float) for w in doc["weights"]]
+        biases = [np.array(b, dtype=float) for b in doc["biases"]]
+        clf_w = np.array(doc["clf_w"], dtype=float)
+        clf_b = np.array(doc["clf_b"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model JSON: weights are not numeric arrays: {exc}") from None
+    if not len(weights) == len(biases) == cfg.hidden_layers:
+        raise ValueError(
+            f"model JSON: {len(weights)} weight matrices and {len(biases)} bias "
+            f"vectors for {cfg.hidden_layers} hidden layers"
+        )
+    input_dim, num_classes = int(doc["input_dim"]), int(doc["num_classes"])
+    fan_in = input_dim
+    for k, (w, b) in enumerate(zip(weights + [clf_w], biases + [clf_b])):
+        if b.ndim != 1 or w.shape != (len(b), fan_in):
+            name = "classifier" if k == len(weights) else f"layer {k}"
+            raise ValueError(
+                f"model JSON: {name} weights {w.shape} and biases {b.shape} "
+                f"do not chain from width {fan_in}"
+            )
+        fan_in = len(b)
+    if fan_in != num_classes:
+        raise ValueError(f"model JSON: {fan_in} classifier rows, {num_classes} classes")
+    try:
+        history = [
             EpochStats(
                 loss=s["loss"],
                 accuracy=s["accuracy"],
                 classifier_metrics=EtfMetrics(s["norm_cv"], s["cosine_std"]),
             )
             for s in doc["history"]
-        ],
+        ]
+    except KeyError as exc:
+        raise ValueError(f"model JSON: history entry has no key {exc}") from None
+    return TrainedModel(
+        config=cfg,
+        input_dim=input_dim,
+        num_classes=num_classes,
+        weights=weights,
+        biases=biases,
+        clf_w=clf_w,
+        clf_b=clf_b,
+        history=history,
     )
 
 

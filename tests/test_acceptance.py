@@ -12,7 +12,7 @@ from mixupgeom import cli, theory, trainer, ufm
 from mixupgeom.calibration import ece
 from mixupgeom.etf import build_simplex_etf, etf_deviation_metrics
 from mixupgeom.kernels import same_class_equation
-from mixupgeom.mixup import BetaSpec, make_mixup_batch, mix_pair, sample_lambda
+from mixupgeom.mixup import BetaSpec, mix, sample_lambdas
 from mixupgeom.projection import TRIANGLE, build_projection, project_vector
 from mixupgeom.theory import TheoryParams, assemble_feature
 from mixupgeom.ufm import UfmConfig, minimize_per_sample, per_sample_grad
@@ -40,8 +40,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _mean_loss_for_seed(seed: int, amplified: bool = False) -> float:
     frame = build_simplex_etf(10, 100, 3.0, seed)
     rng = np.random.default_rng(seed)
-    spec = BetaSpec(1.0)
-    lams = [sample_lambda(spec, rng) for _ in range(5000)]
+    lams = sample_lambdas(BetaSpec(1.0), 5000, rng)
     records = theory.generate_configuration(
         FIG_PARAMS, frame, [0, 1, 2], lams, amplified=amplified
     )
@@ -301,7 +300,6 @@ def test_criterion_10_desk_scale_phenomena(capsys):
     start = time.time()
     spec = trainer.default_dataset_spec(seed=0)
     x, y = data = trainer.make_synthetic(spec)
-    eye = np.eye(3)
 
     model = trainer.train(data, trainer.TrainConfig())
     acc = model.history[-1].accuracy
@@ -310,23 +308,22 @@ def test_criterion_10_desk_scale_phenomena(capsys):
     # (b) alignment of same-class lam=0.5 activations with their row,
     # measured on centered activations (the global mean activation of
     # the clean training data is subtracted, as in the planar view)
-    clean = [
-        mix_pair(x[i], eye[y[i]], x[i], eye[y[i]], 1.0)
-        for i in range(0, len(x), 10)
-    ]
+    every10 = np.arange(0, len(x), 10)
+    clean = mix(x, y, every10, every10, np.ones(len(every10)), 3)
     center = np.mean([r.h for r in trainer.extract_activations(model, clean)], axis=0)
     rng = np.random.default_rng(1)
-    cosines = []
+    pairs = []
     for c in range(3):
         idx = np.flatnonzero(y == c)
         for _ in range(20):
-            i, j = rng.choice(idx, 2, replace=False)
-            s = mix_pair(x[i], eye[c], x[j], eye[c], 0.5)
-            h = trainer.extract_activations(model, [s])[0].h - center
-            w = model.clf_w[c]
-            cosines.append(
-                float(h @ w / (np.linalg.norm(h) * np.linalg.norm(w)))
-            )
+            pairs.append(rng.choice(idx, 2, replace=False))
+    i, j = np.array(pairs).T
+    probes = mix(x, y, i, j, np.full(len(i), 0.5), 3)
+    cosines = []
+    for rec in trainer.extract_activations(model, probes):
+        h = rec.h - center
+        w = model.clf_w[rec.class_i]
+        cosines.append(float(h @ w / (np.linalg.norm(h) * np.linalg.norm(w))))
     mean_cos = float(np.mean(cosines))
     ok_b = mean_cos >= 0.9
 
@@ -348,22 +345,21 @@ def test_criterion_10_desk_scale_phenomena(capsys):
     mu = {}
     for c in range(3):
         idx = np.flatnonzero(y == c)[:100]
-        recs = trainer.extract_activations(
-            mse, [mix_pair(x[i], eye[c], x[i], eye[c], 1.0) for i in idx]
-        )
+        clean = mix(x, y, idx, idx, np.ones(len(idx)), 3)
+        recs = trainer.extract_activations(mse, clean)
         mu[c] = np.mean([r.h for r in recs], axis=0)
     basis = np.stack([mu[0], mu[1]], axis=1)
-    lams, coefs = [], []
+    lams, i, j = [], [], []
     rng = np.random.default_rng(2)
     for lam in np.linspace(0.05, 0.95, 19):
         for _ in range(5):
-            i = rng.choice(np.flatnonzero(y == 0))
-            j = rng.choice(np.flatnonzero(y == 1))
-            s = mix_pair(x[i], eye[0], x[j], eye[1], lam)
-            h = trainer.extract_activations(mse, [s])[0].h
-            coef, *_ = np.linalg.lstsq(basis, h, rcond=None)
+            i.append(rng.choice(np.flatnonzero(y == 0)))
+            j.append(rng.choice(np.flatnonzero(y == 1)))
             lams.append(lam)
-            coefs.append(coef[0])
+    coefs = []
+    for rec in trainer.extract_activations(mse, mix(x, y, i, j, lams, 3)):
+        coef, *_ = np.linalg.lstsq(basis, rec.h, rcond=None)
+        coefs.append(coef[0])
     r = float(np.corrcoef(lams, coefs)[0, 1])
     ok_e = r >= 0.9
     elapsed = time.time() - start

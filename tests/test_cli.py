@@ -166,6 +166,96 @@ def test_train_extract_project_pipeline(tmp_path, capsys):
     assert lines[0] == "layer,px,py" and len(lines) == 4  # 3 hidden layers
 
 
+def _trained(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("dataset.samples_per_class = 40\ntrain.epochs = 3\n")
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    code, _, stderr = run(
+        ["train", "--config", str(cfg), "--out", str(model), "--dataset-out", str(data)],
+        capsys,
+    )
+    assert code == 0, stderr
+    return model, data
+
+
+def _extract(model, data, out, capsys, *flags):
+    return run(
+        ["extract", "--model", str(model), "--dataset", str(data), "--out", str(out),
+         *flags],
+        capsys,
+    )
+
+
+def test_extract_tags_classes_from_the_hard_labels(tmp_path, capsys):
+    # At alpha = 0.05 many lambdas round to exactly 0 or 1, where the soft
+    # label of a different-class pair is one-hot.
+    model, data = _trained(tmp_path, capsys)
+    acts = tmp_path / "acts.csv"
+    code, _, stderr = _extract(
+        model, data, acts, capsys, "--alpha", "0.05", "--count", "2000", "--seed", "0"
+    )
+    assert code == 0, stderr
+    rows = [line.split(",")[:4] for line in acts.read_text().split("\n")[1:] if line]
+    assert len(rows) == 2000
+    assert any(float(lam) in (0.0, 1.0) and i != ip for i, ip, lam, _ in rows)
+    for i, ip, _, kind in rows:
+        assert (kind == "same_class") == (i == ip)
+
+
+@pytest.mark.parametrize("label", ["-1", "3"])
+def test_extract_rejects_a_label_outside_the_model_classes(tmp_path, capsys, label):
+    model, data = _trained(tmp_path, capsys)
+    lines = data.read_text().split("\n")
+    lines[5] = label + lines[5][lines[5].index(",") :]
+    data.write_text("\n".join(lines))
+    code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
+    assert code == 1
+    assert stderr.startswith(f"error: dataset line 6: label {label} ")
+
+
+def test_extract_rejects_a_model_without_clf_b(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    doc = json.loads(model.read_text())
+    del doc["clf_b"]
+    model.write_text(json.dumps(doc))
+    code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
+    assert code == 1
+    assert stderr.startswith("error: model JSON: missing key 'clf_b'")
+
+
+def test_trajectory_rejects_a_negative_source_index(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    code, _, stderr = run(
+        ["trajectory", "--model", str(model), "--dataset", str(data),
+         "--i", "-1", "--j", "0", "--lam", "0.5", "--out", str(tmp_path / "t.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert stderr.startswith("error: source index i=-1 ")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_train_reads_every_dataset_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "dataset.num_classes = 4\ndataset.input_dim = 3\ndataset.mean_scale = 6\n"
+        "dataset.noise_scale = 0.1\ndataset.samples_per_class = 5\n"
+        "dataset.seed = 2\ntrain.epochs = 1\n"
+    )
+    data = tmp_path / "data.csv"
+    code, _, stderr = run(
+        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.json"),
+         "--dataset-out", str(data)],
+        capsys,
+    )
+    assert code == 0, stderr
+    lines = data.read_text().strip().split("\n")
+    assert lines[0] == "label,x_0,x_1,x_2" and len(lines) == 21
+    assert sorted({int(line.split(",")[0]) for line in lines[1:]}) == [0, 1, 2, 3]
+    radii = [np.hypot(*map(float, line.split(",")[1:3])) for line in lines[1:]]
+    assert all(abs(r - 6.0) < 1.0 for r in radii)
+
+
 def test_train_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("train.epochs = banana\n")
@@ -174,6 +264,12 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     )
     assert code == 1
     assert "line 1" in stderr
+    cfg.write_text("dataset.input_dim = 0\n")
+    code, _, stderr = run(
+        ["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")], capsys
+    )
+    assert code == 1
+    assert "input dimension" in stderr
 
 
 def test_ece_hand_case(tmp_path, capsys):

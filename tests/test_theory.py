@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixupgeom import kernels
 from mixupgeom.etf import build_simplex_etf
 from mixupgeom.mixup import DIFFERENT_CLASS, SAME_CLASS
 from mixupgeom.theory import (
@@ -12,6 +13,7 @@ from mixupgeom.theory import (
     features_to_csv,
     generate_configuration,
     solve_different_class,
+    solve_different_classes,
     solve_same_class,
 )
 from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss
@@ -95,6 +97,23 @@ def test_boundary_lambda_one_matches_same_class():
     same = assemble_feature(solve_same_class(PARAMS), frame, 0, 0)
     diff = assemble_feature(solve_different_class(PARAMS, 1.0), frame, 0, 3)
     assert np.linalg.norm(diff.h - same.h) <= 1e-6 * np.linalg.norm(same.h)
+
+
+def test_degenerate_lambdas_share_one_same_class_solve(monkeypatch):
+    calls = []
+    solve = kernels.solve_same_class_k
+    monkeypatch.setattr(
+        kernels, "solve_same_class_k", lambda *a: calls.append(a) or solve(*a)
+    )
+    lams = [0.0, 1.0, 0.5, 1.0, 0.0]
+    sols = solve_different_classes(PARAMS, lams)
+    assert len(calls) == 1
+    assert [s.lam for s in sols] == lams
+    assert sols[1] == sols[3] == solve_different_class(PARAMS, 1.0)
+    assert sols[0] == sols[4] == solve_different_class(PARAMS, 0.0)
+    calls.clear()
+    solve_different_classes(PARAMS, [0.25, 0.5])
+    assert calls == []
 
 
 def test_p_i_monotone_in_lambda():

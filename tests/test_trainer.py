@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from mixupgeom.mixup import BetaSpec, make_mixup_batch, mix_pair
+from mixupgeom.mixup import BetaSpec, make_mixup_batch, mix
 from mixupgeom.trainer import (
     SyntheticDataset,
     TrainConfig,
@@ -9,6 +11,7 @@ from mixupgeom.trainer import (
     dataset_to_csv,
     default_dataset_spec,
     extract_activations,
+    forward_pass,
     layer_trajectory,
     loss_and_grads,
     make_synthetic,
@@ -173,12 +176,30 @@ def test_extract_preserves_order_and_tags():
     model = train(data, small_config())
     x, y = data
     rng = np.random.default_rng(5)
-    samples = make_mixup_batch(x, y, BetaSpec(1.0), 12, rng)
-    records = extract_activations(model, samples)
+    batch = make_mixup_batch(x, y, BetaSpec(1.0), 12, rng, 3)
+    records = extract_activations(model, batch)
     assert len(records) == 12
-    for s, r in zip(samples, records):
-        assert r.lam == s.lam and r.kind == s.kind
+    for k, r in enumerate(records):
+        assert r.lam == batch.lam[k] and r.kind == batch.kind[k]
+        assert (r.class_i, r.class_ip) == (y[batch.src_i[k]], y[batch.src_j[k]])
         assert r.h.shape == (model.config.width,)
+
+
+def test_batched_extraction_matches_per_row_forward_passes():
+    data = small_data()
+    model = train(data, small_config())
+    x, y = data
+    rng = np.random.default_rng(3)
+    batch = make_mixup_batch(x, y, BetaSpec(1.0), 200, rng, 3)
+    records = extract_activations(model, batch)
+    for row, r in zip(batch.x, records):
+        _, post, _ = forward_pass(
+            model.weights, model.biases, model.clf_w, model.clf_b,
+            model.config.activation, row[None, :],
+        )
+        ref = post[-1][0]
+        # one matrix product per batch sums in another order than one per row
+        assert np.linalg.norm(r.h - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_zero_weight_network_gives_constant_activation():
@@ -188,8 +209,8 @@ def test_zero_weight_network_gives_constant_activation():
     for b in model.biases:
         b[:] = 0.25
     x, y = small_data()
-    samples = make_mixup_batch(x, y, BetaSpec(1.0), 5, np.random.default_rng(0))
-    records = extract_activations(model, samples)
+    batch = make_mixup_batch(x, y, BetaSpec(1.0), 5, np.random.default_rng(0), 3)
+    records = extract_activations(model, batch)
     for r in records[1:]:
         assert np.array_equal(r.h, records[0].h)
 
@@ -198,10 +219,10 @@ def test_trajectory_single_layer_matches_extract():
     data = small_data()
     model = train(data, small_config(hidden_layers=1, epochs=2))
     x, y = data
-    s = make_mixup_batch(x, y, BetaSpec(1.0), 1, np.random.default_rng(1))[0]
-    traj = layer_trajectory(model, s)
+    batch = make_mixup_batch(x, y, BetaSpec(1.0), 1, np.random.default_rng(1), 3)
+    traj = layer_trajectory(model, batch.x[0])
     assert len(traj) == 1
-    rec = extract_activations(model, [s])[0]
+    rec = extract_activations(model, batch)[0]
     assert np.array_equal(traj[0], rec.h)
 
 
@@ -209,9 +230,8 @@ def test_trajectory_lambda_one_is_pure_source():
     data = small_data()
     model = train(data, small_config(epochs=2))
     x, y = data
-    eye = np.eye(3)
-    mixed = mix_pair(x[0], eye[y[0]], x[10], eye[y[10]], 1.0)
-    pure = mix_pair(x[0], eye[y[0]], x[0], eye[y[0]], 1.0)
+    mixed = mix(x, y, [0], [10], [1.0], 3).x[0]
+    pure = mix(x, y, [0], [0], [1.0], 3).x[0]
     for a, b in zip(layer_trajectory(model, mixed), layer_trajectory(model, pure)):
         assert np.array_equal(a, b)
 
@@ -225,6 +245,42 @@ def test_model_json_round_trip():
     assert np.array_equal(model.clf_w, loaded.clf_w)
     assert len(loaded.history) == len(model.history)
     assert loaded.history[-1].loss == model.history[-1].loss
+
+
+def _model_doc():
+    return json.loads(model_to_json(train(small_data(), small_config(epochs=1))))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("clf_b"), "missing key 'clf_b'"),
+        (lambda d: d["weights"][1].pop(), "layer 1 weights \\(7, 8\\)"),
+        (lambda d: d["weights"][0][2].pop(), "weights are not numeric arrays"),
+        (lambda d: d["weights"].pop(), "1 weight matrices and 2 bias vectors"),
+        (lambda d: d["clf_w"].pop(), "classifier weights \\(2, 8\\)"),
+        (lambda d: d.update(num_classes=4), "3 classifier rows, 4 classes"),
+        (lambda d: d["config"].update(optimizer="adam"), "bad config.*optimizer"),
+        (lambda d: d["history"][0].pop("loss"), "history entry has no key 'loss'"),
+    ],
+)
+def test_model_from_json_rejects_malformed_models(edit, message):
+    doc = _model_doc()
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        model_from_json(json.dumps(doc))
+
+
+def test_default_dataset_spec():
+    angles = 2.0 * np.pi * np.arange(3) / 3.0
+    means = 4.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert np.array_equal(default_dataset_spec(0).class_means, means)
+    spec = default_dataset_spec(seed=2, num_classes=5, input_dim=3, mean_scale=2.0)
+    assert spec.class_means.shape == (5, 3) and spec.seed == 2
+    assert np.allclose(np.linalg.norm(spec.class_means, axis=1), 2.0)
+    assert np.array_equal(spec.class_means[:, 2], np.zeros(5))
+    with pytest.raises(ValueError, match="input dimension"):
+        default_dataset_spec(input_dim=0)
 
 
 def test_dataset_csv_round_trip():
