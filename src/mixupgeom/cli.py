@@ -94,49 +94,53 @@ def _parse_list(text: str, cast):
 
 
 def cmd_oracle_check(args) -> int:
-    cs = _parse_list(args.C_list, int)
-    ms = _parse_list(args.m_list, float)
-    lhs = _parse_list(args.lambda_h_list, float)
-    lams = _parse_list(args.lambda_list, float)
+    try:
+        cs = _parse_list(args.C_list, int)
+        ms = _parse_list(args.m_list, float)
+        lhs = _parse_list(args.lambda_h_list, float)
+        lams = _parse_list(args.lambda_list, float)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not cs or not ms or not lhs or not lams:
         print("error: empty oracle grid", file=sys.stderr)
         return 2
+    try:
+        cells = [
+            TheoryParams(C=C, m=m, lambda_h=lh, d=C) for C in cs for m in ms for lh in lhs
+        ]
+        grid = theory.solve_grid(cells, lams)
+    except (KernelSolveError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     worst = 0.0
     failed = False
     print(f"{'C':>4} {'m':>6} {'lambda_h':>10} {'lambda':>8} {'grad_resid':>12} {'status':>8}")
-    for C in cs:
-        for m in ms:
-            for lh in lhs:
-                params = TheoryParams(C=C, m=m, lambda_h=lh, d=C)
-                same = theory.solve_same_class(params)
-                frame = build_simplex_etf(C, C, m, seed=0)
-                cfg = ufm.UfmConfig(lambda_h=lh)
-                try:
-                    sols = theory.solve_different_classes(params, lams)
-                except KernelSolveError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-                for lam, sol in zip(lams, sols):
-                    h = theory.assemble_feature(sol, frame, 0, 1).h
-                    if args.perturb:
-                        h = h + args.perturb
-                    resid = float(
-                        np.linalg.norm(ufm.per_sample_grad(frame.rows, h, 0, 1, lam, cfg))
-                    )
-                    worst = max(worst, resid)
-                    ok = resid <= args.tol_grad
-                    failed = failed or not ok
-                    print(
-                        f"{C:>4} {m:>6.2f} {lh:>10.1e} {lam:>8.3f} "
-                        f"{resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
-                    )
-                same_resid = abs(same_class_equation(same.k, C, m * m, lh))
-                ok = same_resid <= args.tol_same
-                failed = failed or not ok
-                print(
-                    f"{C:>4} {m:>6.2f} {lh:>10.1e} {'same':>8} "
-                    f"{same_resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
-                )
+    for params, (same, sols) in zip(cells, grid):
+        C, m, lh = params.C, params.m, params.lambda_h
+        frame = build_simplex_etf(C, C, m, seed=0)
+        cfg = ufm.UfmConfig(lambda_h=lh)
+        for lam, sol in zip(lams, sols):
+            h = theory.assemble_feature(sol, frame, 0, 1).h
+            if args.perturb:
+                h = h + args.perturb
+            resid = float(
+                np.linalg.norm(ufm.per_sample_grad(frame.rows, h, 0, 1, lam, cfg))
+            )
+            worst = max(worst, resid)
+            ok = resid <= args.tol_grad
+            failed = failed or not ok
+            print(
+                f"{C:>4} {m:>6.2f} {lh:>10.1e} {lam:>8.3f} "
+                f"{resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
+            )
+        same_resid = abs(same_class_equation(same.k, C, m * m, lh))
+        ok = same_resid <= args.tol_same
+        failed = failed or not ok
+        print(
+            f"{C:>4} {m:>6.2f} {lh:>10.1e} {'same':>8} "
+            f"{same_resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
+        )
     if failed:
         print(f"worst residual {worst:.3e} exceeds tolerance", file=sys.stderr)
         return 1
@@ -211,12 +215,24 @@ def cmd_train(args) -> int:
 # --------------------------------------------------------------------- extract
 
 
+def _read_model_and_dataset(args):
+    """The model and the (inputs, labels) of the dataset named by args; a
+    dataset whose width is not the model's input_dim raises ValueError."""
+    with open(args.model) as fh:
+        model = trainer.model_from_json(fh.read())
+    with open(args.dataset) as fh:
+        inputs, labels = trainer.dataset_from_csv(fh.read())
+    if inputs.shape[1] != model.input_dim:
+        raise ValueError(
+            f"{args.dataset}: dataset rows have {inputs.shape[1]} inputs, "
+            f"the model takes {model.input_dim}"
+        )
+    return model, inputs, labels
+
+
 def cmd_extract(args) -> int:
     try:
-        with open(args.model) as fh:
-            model = trainer.model_from_json(fh.read())
-        with open(args.dataset) as fh:
-            inputs, labels = trainer.dataset_from_csv(fh.read())
+        model, inputs, labels = _read_model_and_dataset(args)
         rng = np.random.default_rng(args.seed)
         batch = make_mixup_batch(
             inputs, labels, BetaSpec(args.alpha), args.count, rng, model.num_classes
@@ -313,18 +329,20 @@ def cmd_etf_metrics(args) -> int:
 
 def cmd_trajectory(args) -> int:
     try:
-        with open(args.model) as fh:
-            model = trainer.model_from_json(fh.read())
-        with open(args.dataset) as fh:
-            inputs, labels = trainer.dataset_from_csv(fh.read())
+        model, inputs, labels = _read_model_and_dataset(args)
         classes = tuple(_parse_list(args.classes, int))
         if len(classes) != 3:
             raise ValueError(f"--classes needs exactly 3 ids, got {args.classes!r}")
+        for c in classes:
+            if not 0 <= c < model.num_classes:
+                raise ValueError(
+                    f"--classes id {c} is not a class of the {model.num_classes}-class model"
+                )
         batch = mix(inputs, labels, [args.i], [args.j], [args.lam], model.num_classes)
         layers = trainer.layer_trajectory(model, batch.x[0])
         op = projection.build_projection(model.clf_w[list(classes)], None, classes)
         points = [projection.project_vector(op, h) for h in layers]
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     lines = ["layer,px,py"]

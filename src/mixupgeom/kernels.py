@@ -1,12 +1,13 @@
 """Fixed-point solvers behind the closed-form optimal features.
 
-The different-class solvers take every mixing coefficient of a
-configuration as one numpy array, and the same-class solve is a
-one-element array. All equations go through one bracketed root finder,
-Chandrupatla's (1997) hybrid of inverse quadratic interpolation and
-bisection, run elementwise: each element iterates and stops on its own,
-so a value solved alone gives bit-for-bit the result it gets inside a
-batch.
+Every solver takes its parameters (C, m2, lh and, for the
+different-class equations, the mixing coefficient lam) as numpy arrays
+that broadcast together, so a whole grid of parameter cells and mixing
+coefficients is one solve. All equations go through one bracketed root
+finder, Chandrupatla's (1997) hybrid of inverse quadratic interpolation
+and bisection, run elementwise: each element iterates and stops on its
+own, so a value solved alone gives bit-for-bit the result it gets
+inside a batch.
 
 ``m2`` always denotes the squared classifier multiplier and ``lh`` the
 feature-decay coefficient. The tail inner product k < 0 is solved in
@@ -35,24 +36,27 @@ class KernelSolveError(RuntimeError):
 def _find_root(f, lo, hi, limits, what, args=()):
     """Elementwise root of f(x, *args), increasing in x, on arrays.
 
-    [lo, hi] is moved outwards, doubling its width on the side of the
-    root, until f changes sign, never beyond ``limits``; Chandrupatla's
-    method then narrows it to a few ulps. ``args`` are arrays with one
-    entry per element. ``what`` names the equation and its parameters in
-    errors. Returns the roots as an array.
+    lo, hi and ``args`` broadcast together; the roots come back in the
+    broadcast shape. [lo, hi] is moved outwards, doubling its width on
+    the side of the root, until f changes sign, never beyond ``limits``;
+    Chandrupatla's method then narrows it to a few ulps. ``what(j)``
+    names the equation and the parameters of flat element j in errors.
     """
     lo, hi, *args = np.broadcast_arrays(
         np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), *args
     )
-    lo, hi = lo.copy(), hi.copy()
+    shape = lo.shape
+    lo, hi, *args = (np.ravel(v) for v in (lo, hi, *args))
     flo, fhi = f(lo, *args), f(hi, *args)
     for _ in range(_MAX_EXPAND):
         below = flo > 0.0  # the root lies below lo
         above = fhi < 0.0  # the root lies above hi
         if not (below.any() or above.any()):
             break
-        if np.any(below & (lo <= limits[0])) or np.any(above & (hi >= limits[1])):
-            raise KernelSolveError(f"{what}: no sign change in {list(limits)}")
+        stuck = (below & (lo <= limits[0])) | (above & (hi >= limits[1]))
+        if stuck.any():
+            j = np.flatnonzero(stuck)[0]
+            raise KernelSolveError(f"{what(j)}: no sign change in {list(limits)}")
         width = hi - lo
         probe = np.where(
             below,
@@ -67,7 +71,8 @@ def _find_root(f, lo, hi, limits, what, args=()):
             np.where(below, flo, np.where(above, fprobe, fhi)),
         )
     else:
-        raise KernelSolveError(f"{what}: bracket expansion failed")
+        j = np.flatnonzero((flo > 0.0) | (fhi < 0.0))[0]
+        raise KernelSolveError(f"{what(j)}: bracket expansion failed")
 
     # Chandrupatla: a is the newest point, [a, b] brackets the root and
     # c is the point dropped last.
@@ -78,7 +83,7 @@ def _find_root(f, lo, hi, limits, what, args=()):
     t = np.full(live.size, 0.5)
     for _ in range(_MAX_ITER):
         if live.size == 0:
-            return root
+            return root.reshape(shape)
         xt = a + t * (b - a)
         ft = f(xt, *args)
         same = np.signbit(ft) == np.signbit(fa)
@@ -105,7 +110,25 @@ def _find_root(f, lo, hi, limits, what, args=()):
                 0.5,
             )
         t = np.clip(t, tl, 1.0 - tl)
-    raise KernelSolveError(f"{what}: no convergence in {_MAX_ITER} iterations")
+    raise KernelSolveError(f"{what(live[0])}: no convergence in {_MAX_ITER} iterations")
+
+
+def _naming(equation: str, **params):
+    """``what`` for _find_root: the equation and the values of ``params``
+    (arrays that broadcast to the solve's shape) at flat element j."""
+
+    def what(j):
+        arrays = np.broadcast_arrays(*(np.asarray(v) for v in params.values()))
+        values = ", ".join(f"{k}={v.flat[j].item()!r}" for k, v in zip(params, arrays))
+        return f"{equation} ({values})"
+
+    return what
+
+
+# math.log of every element. np.log differs from math.log in the last bit
+# on a few inputs, and the roots would follow it; callers take it once per
+# parameter cell, before the cells are broadcast against the lambdas.
+_math_log = np.vectorize(math.log, otypes=[float])
 
 
 def same_class_equation(k, C: int, m2: float, lh: float):
@@ -122,16 +145,18 @@ def same_class_equation(k, C: int, m2: float, lh: float):
         return -C * k - np.log(np.maximum(rhs, 0.0))
 
 
-def solve_same_class_k(C: int, m2: float, lh: float) -> float:
-    """The unique root K < 0 of the same-class equation."""
+def solve_same_class_k(C, m2, lh):
+    """The unique root K < 0 of the same-class equation, for C, m2 and lh
+    broadcast together; an array of their broadcast shape."""
     u = _find_root(
-        lambda u: same_class_equation(-np.exp(u), C, m2, lh),
-        np.array([-1.0]),
-        np.array([1.0]),
+        lambda u, C, m2, lh: same_class_equation(-np.exp(u), C, m2, lh),
+        -1.0,
+        1.0,
         _U_LIMITS,
-        f"same-class equation (C={C}, m2={m2}, lh={lh})",
+        _naming("same-class equation", C=C, m2=m2, lh=lh),
+        [C, m2, lh],
     )
-    return float(-np.exp(u[0]))
+    return -np.exp(u)
 
 
 def _inner(r):
@@ -143,11 +168,11 @@ def _inner(r):
         lo = np.where(big, np.log(0.5 * r), r - 1.0)
         hi = np.where(big, np.log(r), r)
     return _find_root(
-        lambda t, r: t + np.exp(t) - r, lo, hi, _X_LIMITS, "inner solve", [r]
+        lambda t, r: t + np.exp(t) - r, lo, hi, _X_LIMITS, _naming("inner solve", r=r), [r]
     )
 
 
-def _diff_state(u, C, m2, lh, lam):
+def _diff_state(u, lam, c2, neg_beta, log_neg_beta, log_c2):
     """Outer residual and inner product x = <w_i, h> at k = -exp(u).
 
     With beta = (1-C)*lh/(C*m2), the tail identity fixes the partition
@@ -155,42 +180,48 @@ def _diff_state(u, C, m2, lh, lam):
     x = log(S) + log(lam + beta*x); putting lam + beta*x = -beta*exp(t)
     turns it into t + exp(t) = lam/(-beta) - k + u, and then
     x = k - u + t. The residual is log((C-2)*exp(k) + exp(x) + exp(x_ip))
-    minus log(S), with x_ip = -(C-2)*k - x; it increases with u.
+    minus log(S), with x_ip = -(C-2)*k - x; it increases with u. The
+    cell constants are c2 = C - 2, -beta and their logs.
     """
     k = -np.exp(u)
-    neg_beta = (C - 1.0) * lh / (C * m2)
-    log_s = k - math.log(neg_beta) - u
+    log_s = k - log_neg_beta - u
     x = k - u + _inner(lam / neg_beta - k + u)
-    x_ip = -(C - 2.0) * k - x
-    tail = k + math.log(C - 2.0)
+    x_ip = -c2 * k - x
+    tail = k + log_c2
     top = np.maximum(np.maximum(tail, x), x_ip)
     lse = top + np.log(np.exp(tail - top) + np.exp(x - top) + np.exp(x_ip - top))
     return lse - log_s, x
 
 
-def solve_diff_k(C: int, m2: float, lh: float, lams):
-    """Different-class fixed points for an array of 0 < lam < 1, C >= 3.
+def solve_diff_k(C, m2, lh, lams):
+    """Different-class fixed points for 0 < lam < 1 and C >= 3, with C,
+    m2, lh and lams broadcast together: give the parameters of many
+    cells as a column to solve every cell at every lam in one call.
 
-    Returns arrays (k_lambda, inner_i), one entry per lam.
+    Returns arrays (k_lambda, inner_i) of the broadcast shape.
     """
-    lams = np.asarray(lams, dtype=float)
+    what = _naming("different-class fixed point", C=C, m2=m2, lh=lh, lam=lams)
+    C, m2, lh, lams = (np.asarray(v, dtype=float) for v in (C, m2, lh, lams))
+    c2 = C - 2.0
+    neg_beta = (C - 1.0) * lh / (C * m2)
+    cell = [c2, neg_beta, _math_log(neg_beta), _math_log(c2)]
     u = _find_root(
-        lambda u, lam: _diff_state(u, C, m2, lh, lam)[0],
+        lambda u, lam, *cell: _diff_state(u, lam, *cell)[0],
         -1.0,
         1.0,
         _U_LIMITS,
-        f"different-class fixed point (C={C}, m2={m2}, lh={lh})",
-        [lams],
+        what,
+        [lams, *cell],
     )
-    return -np.exp(u), _diff_state(u, C, m2, lh, lams)[1]
+    return -np.exp(u), _diff_state(u, lams, *cell)[1]
 
 
-def solve_two_class_inner(m2: float, lh: float, lams):
+def solve_two_class_inner(m2, lh, lams):
     """Two-class different-class case: inner products are +/-x, with x
     solving sigmoid(2x) - lam + lh*x/(2*m2) = 0, increasing in x.
-    Returns one x per entry of ``lams``."""
+    m2, lh and lams broadcast together; one x per element."""
 
-    def g(x, lam):
+    def g(x, lam, m2, lh):
         return np.exp(-np.logaddexp(0.0, -2.0 * x)) - lam + lh * x / (2.0 * m2)
 
     return _find_root(
@@ -198,6 +229,6 @@ def solve_two_class_inner(m2: float, lh: float, lams):
         -1.0,
         1.0,
         _X_LIMITS,
-        f"two-class equation (m2={m2}, lh={lh})",
-        [np.asarray(lams, dtype=float)],
+        _naming("two-class equation", m2=m2, lh=lh, lam=lams),
+        [np.asarray(v, dtype=float) for v in (lams, m2, lh)],
     )

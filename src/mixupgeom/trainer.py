@@ -488,20 +488,25 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
 
 
 def dataset_from_csv(text: str):
+    """Parse dataset_to_csv output into (inputs, labels). A row whose
+    width differs from the header's raises ValueError naming its line."""
     lines = text.strip().split("\n")
     if not lines or not lines[0].startswith("label,"):
         raise ValueError("line 1: expected dataset header 'label,x_0,...'")
+    width = lines[0].count(",")
     xs = []
     ys = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        if len(parts) - 1 != width:
+            raise ValueError(
+                f"line {lineno}: {len(parts) - 1} input values, the header has {width}"
+            )
         try:
             ys.append(int(parts[0]))
             xs.append([float(v) for v in parts[1:]])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: bad dataset row: {exc}")
     if not xs:
         raise ValueError("empty dataset file")
-    if len({len(r) for r in xs}) != 1:
-        raise ValueError("ragged dataset rows")
     return np.array(xs), np.array(ys, dtype=int)

@@ -52,8 +52,9 @@ class ConvergenceError(RuntimeError):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
+    """Log-softmax along the last axis, max-subtracted."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def softmax_probs(w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -137,16 +138,26 @@ def total_objective(w, features, cfg: UfmConfig) -> ObjectiveReport:
     """Mean per-sample value over feature records plus the separately
     reported classifier penalty (lambda_w/2)*|W|_F^2.
 
-    Accepts any records carrying (h, class_i, class_ip, lam).
+    Accepts any records carrying (h, class_i, class_ip, lam); the
+    per-sample values come from one row-wise log-softmax over the n x d
+    feature matrix and are summed in record order.
     """
     features = list(features)
     if not features:
         raise ValueError("empty feature list")
     w = np.asarray(w, dtype=float)
-    total = 0.0
-    for rec in features:
-        total += per_sample_loss(w, rec.h, rec.class_i, rec.class_ip, rec.lam, cfg)
+    h = np.array([rec.h for rec in features], dtype=float)
+    i = np.array([rec.class_i for rec in features])
+    ip = np.array([rec.class_ip for rec in features])
+    lam = np.array([rec.lam for rec in features], dtype=float)
+    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+    if bad.size:
+        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
+    logp = _log_softmax(h @ w.T)
+    n = np.arange(len(features))
+    ce = -lam * logp[n, i] - (1.0 - lam) * logp[n, ip]
+    values = ce + 0.5 * cfg.lambda_h * np.einsum("nd,nd->n", h, h)
     penalty = 0.5 * cfg.lambda_w * float((w * w).sum())
     return ObjectiveReport(
-        mean_per_sample=total / len(features), classifier_penalty=penalty
+        mean_per_sample=sum(values.tolist()) / len(features), classifier_penalty=penalty
     )

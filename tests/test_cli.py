@@ -104,10 +104,34 @@ def test_oracle_check_negative_control(capsys):
     assert "FAIL" in stdout
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--C-list", "1", "need at least 2 classes, got 1"),
+        ("--m-list", "0", "multiplier must be finite and nonzero, got 0.0"),
+        ("--lambda-h-list", "0", "lambda_h must be positive and finite, got 0.0"),
+        ("--lambda-list", "1.5", "lambda must be in [0, 1], got 1.5"),
+    ],
+)
+def test_oracle_check_rejects_a_value_outside_the_domain(capsys, flag, value, message):
+    code, stdout, stderr = run(["oracle-check", flag, value], capsys)
+    assert code == 1
+    assert stderr == f"error: {message}\n"
+    assert stdout == ""
+
+
 def test_oracle_check_empty_grid(capsys):
     code, _, stderr = run(["oracle-check", "--C-list", ""], capsys)
     assert code == 2
     assert "empty" in stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--C-list", "3.5"), ("--m-list", "1,abc")])
+def test_oracle_check_rejects_a_grid_value_that_is_not_a_number(capsys, flag, value):
+    code, stdout, stderr = run(["oracle-check", flag, value], capsys)
+    assert code == 2
+    assert stderr.startswith("error: ") and value.split(",")[-1] in stderr
+    assert stdout == ""
 
 
 def test_parse_config_rejects_unknown_key():
@@ -233,6 +257,71 @@ def test_trajectory_rejects_a_negative_source_index(tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error: source index i=-1 ")
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_trajectory_rejects_a_class_id_outside_the_model(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    for classes in ("-1,0,1", "0,1,3"):
+        code, _, stderr = run(
+            ["trajectory", "--model", str(model), "--dataset", str(data),
+             "--i", "0", "--j", "50", "--lam", "0.4", f"--classes={classes}",
+             "--out", str(tmp_path / "t.csv")],
+            capsys,
+        )
+        assert code == 1
+        bad = classes.split(",")[0 if classes.startswith("-") else 2]
+        assert stderr.startswith(f"error: --classes id {bad} is not a class of the 3-class")
+        assert not (tmp_path / "t.csv").exists()
+
+
+def _with_extra_input(data):
+    """The dataset CSV with a third input column of zeros."""
+    lines = data.read_text().strip().split("\n")
+    data.write_text("\n".join([lines[0] + ",x_2"] + [line + ",0.0" for line in lines[1:]]))
+
+
+def test_extract_and_trajectory_reject_a_dataset_of_the_wrong_width(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    _with_extra_input(data)
+    message = f"error: {data}: dataset rows have 3 inputs, the model takes 2\n"
+    code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
+    assert (code, stderr) == (1, message)
+    code, _, stderr = run(
+        ["trajectory", "--model", str(model), "--dataset", str(data),
+         "--i", "0", "--j", "1", "--lam", "0.5", "--out", str(tmp_path / "t.csv")],
+        capsys,
+    )
+    assert (code, stderr) == (1, message)
+
+
+def test_extract_names_the_line_of_a_ragged_dataset_row(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    lines = data.read_text().split("\n")
+    lines[4] = lines[4].rsplit(",", 1)[0]
+    data.write_text("\n".join(lines))
+    code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
+    assert code == 1
+    assert stderr == "error: line 5: 1 input values, the header has 2\n"
+
+
+def test_project_names_the_line_of_a_malformed_feature_row(tmp_path, capsys):
+    feats = tmp_path / "features.csv"
+    code, _, _ = run(
+        ["theory-solve", "--samples", "2", "--d", "12", "--out", str(feats)], capsys
+    )
+    assert code == 0
+    clf = tmp_path / "clf.csv"
+    write_classifier_csv(clf, build_simplex_etf(10, 12, 3.0, seed=0).rows[:3])
+    lines = feats.read_text().split("\n")
+    lines[3] = ",".join(lines[3].split(",")[:-3])
+    feats.write_text("\n".join(lines))
+    code, _, stderr = run(
+        ["project", "--features", str(feats), "--classifier", str(clf),
+         "--out", str(tmp_path / "p.csv")],
+        capsys,
+    )
+    assert code == 1
+    assert stderr == f"error: {feats}:4: bad feature row: 9 h values, the header has 12\n"
 
 
 def test_train_reads_every_dataset_key(tmp_path, capsys):

@@ -4,6 +4,7 @@ lambda in (0, 1)."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +100,33 @@ def test_solving_alone_matches_the_batch(C, m, lh, lams):
     for j, lam in enumerate(lams):
         k_one, x_one = kernels.solve_diff_k(C, m * m, lh, [lam])
         assert k_one[0] == k_all[j] and x_one[0] == x_all[j]
+
+
+cells = st.lists(st.tuples(classes, multipliers, decays), min_size=1, max_size=4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cells=cells, lams=st.lists(lambdas, min_size=1, max_size=4))
+def test_grid_solve_matches_cell_by_cell_solves(cells, lams):
+    # Parameters given as columns solve every cell at every lambda in one
+    # call; each cell must get the bits it gets alone.
+    C, m2, lh = ([[v] for v in column] for column in zip(*cells))
+    m2 = [[m * m] for (m,) in m2]
+    k_grid, x_grid = kernels.solve_diff_k(C, m2, lh, lams)
+    same_grid = kernels.solve_same_class_k(C, m2, lh)
+    assert k_grid.shape == x_grid.shape == (len(cells), len(lams))
+    assert same_grid.shape == (len(cells), 1)
+    for n, (c, m, decay) in enumerate(cells):
+        k_cell, x_cell = kernels.solve_diff_k(c, m * m, decay, lams)
+        assert k_cell.tobytes() == k_grid[n].tobytes()
+        assert x_cell.tobytes() == x_grid[n].tobytes()
+        same_cell = kernels.solve_same_class_k(c, m * m, decay)
+        assert same_cell.shape == () and same_cell == same_grid[n, 0]
+
+
+def test_solve_errors_name_the_failing_element():
+    # The second cell's root lies beyond the search range.
+    with np.errstate(over="ignore"), pytest.raises(
+        kernels.KernelSolveError, match=r"^same-class equation \(C=3, m2=1e\+300, lh=1e-300\)"
+    ):
+        kernels.solve_same_class_k([[10], [3]], [[9.0], [1e300]], [[1e-6], [1e-300]])

@@ -3,7 +3,7 @@ import pytest
 
 from mixupgeom import kernels
 from mixupgeom.etf import build_simplex_etf
-from mixupgeom.mixup import DIFFERENT_CLASS, SAME_CLASS
+from mixupgeom.mixup import DIFFERENT_CLASS, SAME_CLASS, BetaSpec, make_mixup_batch
 from mixupgeom.theory import (
     TheoryParams,
     amplify,
@@ -14,7 +14,15 @@ from mixupgeom.theory import (
     generate_configuration,
     solve_different_class,
     solve_different_classes,
+    solve_grid,
     solve_same_class,
+)
+from mixupgeom.trainer import (
+    TrainConfig,
+    default_dataset_spec,
+    extract_activations,
+    make_synthetic,
+    train,
 )
 from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss
 
@@ -28,6 +36,11 @@ def test_params_validation():
         TheoryParams(C=3, m=1.0, lambda_h=0.0, d=5)
     with pytest.raises(ValueError):
         TheoryParams(C=3, m=1.0, lambda_h=1e-6, d=2)
+    for m in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"got {m}"):
+            TheoryParams(C=3, m=m, lambda_h=1e-6, d=5)
+    with pytest.raises(ValueError, match="got inf"):
+        TheoryParams(C=3, m=1.0, lambda_h=float("inf"), d=5)
 
 
 def test_same_class_solution_structure():
@@ -116,6 +129,21 @@ def test_degenerate_lambdas_share_one_same_class_solve(monkeypatch):
     assert calls == []
 
 
+def test_grid_matches_cell_by_cell_solves():
+    cells = [
+        TheoryParams(C=C, m=m, lambda_h=lh, d=C)
+        for C in (2, 3, 10)
+        for m in (1.0, 3.0)
+        for lh in (1e-6, 1e-2)
+    ]
+    lams = [0.0, 0.1, 0.5, 0.5, 0.9, 1.0]
+    grid = solve_grid(cells, lams)
+    assert len(grid) == len(cells)
+    for params, (same, sols) in zip(cells, grid):
+        assert same == solve_same_class(params)
+        assert sols == solve_different_classes(params, lams)
+
+
 def test_p_i_monotone_in_lambda():
     values = [
         solve_different_class(PARAMS, lam).p_i for lam in np.linspace(0.05, 0.95, 19)
@@ -184,6 +212,80 @@ def test_amplified_configuration_increases_mean_loss():
     assert mean_loss(amped) > mean_loss(plain)
 
 
+def test_configuration_matches_per_record_assembly():
+    # generate_configuration builds each family with one broadcast; every
+    # row must equal assemble_feature (and amplify) bit for bit.
+    for params, subset, lams in [
+        (PARAMS, [0, 1, 2], [0.0, 0.25, 0.5, 0.25, 1.0]),
+        (TheoryParams(C=2, m=1.5, lambda_h=1e-3, d=4), [1, 0], [0.3, 1.0]),
+        (PARAMS, [4], [0.6]),
+    ]:
+        frame = build_simplex_etf(params.C, params.d, params.m, seed=1)
+        same = solve_same_class(params)
+        diff = solve_different_classes(params, lams)
+        for amplified in (False, True):
+            records = generate_configuration(params, frame, subset, lams, amplified)
+            expected = []
+            for lam, sol in zip(lams, diff):
+                for i in subset:
+                    for ip in subset:
+                        rec = assemble_feature(same if i == ip else sol, frame, i, ip)
+                        rec.lam = lam
+                        expected.append(amplify(rec, frame) if amplified else rec)
+            assert len(records) == len(expected)
+            for a, b in zip(records, expected):
+                assert (a.class_i, a.class_ip, a.lam, a.kind, a.amplified) == (
+                    b.class_i, b.class_ip, b.lam, b.kind, b.amplified
+                )
+                assert a.h.tobytes() == b.h.tobytes()
+
+
+def reference_features_csv(records) -> str:
+    """The per-element writer features_to_csv replaced: repr of every
+    numpy scalar, one line per record."""
+    d = len(records[0].h)
+    lines = ["class_i,class_ip,lambda,kind,amplified," + ",".join(
+        f"h_{j}" for j in range(d)
+    )]
+    for r in records:
+        front = f"{r.class_i},{r.class_ip},{repr(float(r.lam))},{r.kind},{int(r.amplified)}"
+        lines.append(front + "," + ",".join(repr(float(v)) for v in r.h))
+    return "\n".join(lines) + "\n"
+
+
+def _extracted_records():
+    data = make_synthetic(default_dataset_spec(seed=0, samples_per_class=20))
+    model = train(data, TrainConfig(hidden_layers=2, width=8, epochs=2, seed=0))
+    batch = make_mixup_batch(*data, BetaSpec(0.05), 60, np.random.default_rng(0), 3)
+    return extract_activations(model, batch)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_configuration(
+            PARAMS, build_simplex_etf(10, 100, 3.0, seed=0), [0, 1, 2],
+            [0.0, 0.2, 0.5, 0.5, 1.0],
+        ),
+        lambda: generate_configuration(
+            PARAMS, build_simplex_etf(10, 100, 3.0, seed=0), [0, 1, 2],
+            [0.0, 0.2, 0.5, 0.5, 1.0], amplified=True,
+        ),
+        lambda: generate_configuration(
+            TheoryParams(C=2, m=1.0, lambda_h=1e-3, d=3),
+            build_simplex_etf(2, 3, 1.0, seed=0), [0, 1], [0.0, 0.7, 1.0],
+        ),
+        _extracted_records,
+    ],
+    ids=["plain", "amplified", "two-class", "extracted"],
+)
+def test_features_to_csv_matches_the_per_element_writer(tmp_path, make):
+    records = make()
+    path = tmp_path / "features.csv"
+    features_to_csv(records, path)
+    assert path.read_text() == reference_features_csv(records)
+
+
 def test_feature_csv_round_trip(tmp_path):
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     records = generate_configuration(PARAMS, frame, [0, 1], [0.3])
@@ -207,6 +309,31 @@ def test_feature_csv_errors(tmp_path):
     bad.write_text("class_i,class_ip,lambda,kind,amplified,h_0\n0,1,x,same_class,0,1.0\n")
     with pytest.raises(ValueError, match=":2:"):
         features_from_csv(bad)
+
+
+def test_feature_csv_reader_rejects_malformed_rows(tmp_path):
+    header = "class_i,class_ip,lambda,kind,amplified," + ",".join(
+        f"h_{j}" for j in range(12)
+    )
+    good = "0,1,0.5,different_class,0," + ",".join(["1.5"] * 12)
+    path = tmp_path / "features.csv"
+    for bad, message in [
+        ("0,1,0.5,different_class,0," + ",".join(["1.5"] * 9), "9 h values, the header has 12"),
+        ("0,1,0.5,different_class,0," + ",".join(["1.5"] * 13), "13 h values"),
+        (good.replace("different_class,0,", "different_class,7,"), "amplified must be 0 or 1"),
+        (good.replace("different_class,0,", "different_class,True,"), "amplified"),
+    ]:
+        path.write_text("\n".join([header, good, good, bad, good]) + "\n")
+        with pytest.raises(ValueError, match=f"features.csv:4: bad feature row: {message}"):
+            features_from_csv(path)
+
+
+def test_feature_csv_writer_rejects_mixed_widths(tmp_path):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1], [0.3])
+    records[2].h = records[2].h[:50]
+    with pytest.raises(ValueError, match="shape"):
+        features_to_csv(records, tmp_path / "features.csv")
 
 
 def test_assemble_rejects_mismatched_frame():

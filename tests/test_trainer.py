@@ -294,3 +294,10 @@ def test_dataset_csv_errors():
         dataset_from_csv("x_0,label\n")
     with pytest.raises(ValueError, match="line 2"):
         dataset_from_csv("label,x_0\nnope,1.0\n")
+
+
+def test_dataset_csv_names_the_line_of_a_row_of_the_wrong_width():
+    for row, count in (("1,0.5", 1), ("1,0.5,0.5,0.5", 3)):
+        text = f"label,x_0,x_1\n0,1.0,2.0\n{row}\n2,3.0,4.0\n"
+        with pytest.raises(ValueError, match=f"^line 3: {count} input values, the header has 2$"):
+            dataset_from_csv(text)

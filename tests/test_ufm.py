@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from mixupgeom.etf import build_simplex_etf
-from mixupgeom.theory import TheoryParams, assemble_feature, solve_different_class
+from mixupgeom.theory import (
+    TheoryParams,
+    assemble_feature,
+    generate_configuration,
+    solve_different_class,
+)
 from mixupgeom.ufm import (
     MinimizeOptions,
     UfmConfig,
@@ -112,3 +117,28 @@ def test_total_objective_mean_and_penalty():
     )
     with pytest.raises(ValueError):
         total_objective(frame.rows, [], cfg)
+
+
+def test_total_objective_matches_per_sample_loop_on_a_configuration():
+    # One row-wise log-softmax against the per-record loop over 900
+    # records, with degenerate lambdas; the matrix product sums in another
+    # order, so the tolerance is a few ulps of the mean per record.
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    lams = [0.0, 1.0] + list(np.random.default_rng(0).uniform(size=98))
+    records = generate_configuration(params, frame, [0, 1, 2], lams, amplified=True)
+    cfg = UfmConfig(lambda_h=1e-6)
+    direct = sum(
+        per_sample_loss(frame.rows, r.h, r.class_i, r.class_ip, r.lam, cfg) for r in records
+    ) / len(records)
+    report = total_objective(frame.rows, records, cfg)
+    assert report.mean_per_sample == pytest.approx(direct, rel=1e-13)
+
+
+def test_total_objective_rejects_lambda_outside_unit_interval():
+    frame = build_simplex_etf(3, 4, 1.0, seed=0)
+    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3, d=4)
+    rec = assemble_feature(solve_different_class(params, 0.4), frame, 0, 1)
+    rec.lam = 1.5
+    with pytest.raises(ValueError, match="got 1.5"):
+        total_objective(frame.rows, [rec], UfmConfig(lambda_h=1e-3))
