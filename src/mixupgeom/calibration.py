@@ -36,7 +36,7 @@ def ece(confidences, predicted, labels, num_bins: int = DEFAULT_BINS) -> Calibra
         )
     if conf.size == 0:
         raise ValueError("no predictions")
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):
         raise ValueError("confidences must lie in [0, 1]")
     if num_bins < 1:
         raise ValueError(f"need at least one bin, got {num_bins}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -292,10 +293,15 @@ def cmd_ece(args) -> int:
                     continue
                 parts = line.split(",")
                 try:
-                    conf.append(float(parts[0]))
+                    if len(parts) != 3:
+                        raise ValueError(f"{len(parts)} fields, expected 3")
+                    confidence = float(parts[0])
+                    if not math.isfinite(confidence):
+                        raise ValueError(f"confidence {parts[0]!r} is not finite")
+                    conf.append(confidence)
                     pred.append(int(parts[1]))
                     lab.append(int(parts[2]))
-                except (ValueError, IndexError) as exc:
+                except ValueError as exc:
                     raise ValueError(
                         f"{args.predictions}:{lineno}: bad prediction row: {exc}"
                     )

@@ -7,6 +7,7 @@ derived from a seeded orthonormal basis, so builds are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,9 @@ def write_classifier_csv(path, w: np.ndarray) -> None:
 
 
 def read_classifier_csv(path) -> np.ndarray:
+    """One row per non-blank line. A row that does not parse, holds a
+    value that is not finite or is wider or narrower than the first
+    raises ValueError naming path:line."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -107,11 +111,18 @@ def read_classifier_csv(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                rows.append([float(v) for v in line.split(",")])
+                row = [float(v) for v in line.split(",")]
+                for v in row:
+                    if not math.isfinite(v):
+                        raise ValueError(f"value {v} is not finite")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad classifier row: {exc}")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: ragged classifier rows: "
+                    f"{len(row)} values, the first row has {len(rows[0])}"
+                )
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty classifier file")
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError(f"{path}: ragged classifier rows")
     return np.array(rows)

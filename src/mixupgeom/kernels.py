@@ -125,10 +125,11 @@ def _naming(equation: str, **params):
     return what
 
 
-# math.log of every element. np.log differs from math.log in the last bit
-# on a few inputs, and the roots would follow it; callers take it once per
-# parameter cell, before the cells are broadcast against the lambdas.
-_math_log = np.vectorize(math.log, otypes=[float])
+# math.log of every element, -inf where it has none. np.log differs from
+# math.log in the last bit on a few inputs, and the roots would follow it;
+# callers take it once per parameter cell, before the cells are broadcast
+# against the lambdas.
+_math_log = np.vectorize(lambda v: math.log(v) if v > 0.0 else -math.inf, otypes=[float])
 
 
 def same_class_equation(k, C: int, m2: float, lh: float):
@@ -137,11 +138,12 @@ def same_class_equation(k, C: int, m2: float, lh: float):
     The raw equation equates exp(-C*k) with C*m2/((1-C)*lh*k) + 1 - C.
     exp(-C*k) overflows for modestly negative k at large C, so the
     residual is evaluated as -C*k - log(rhs). When rhs <= 0 the raw
-    residual is certainly positive and +inf is returned. The residual is
-    strictly decreasing in k. Works on floats and arrays.
+    residual is certainly positive and +inf is returned; so it is when
+    rhs overflows. The residual is strictly decreasing in k. Works on
+    floats and arrays.
     """
-    rhs = C * m2 / ((1.0 - C) * lh * k) + 1.0 - C
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        rhs = C * m2 / ((1.0 - C) * lh * k) + 1.0 - C
         return -C * k - np.log(np.maximum(rhs, 0.0))
 
 
@@ -203,8 +205,13 @@ def solve_diff_k(C, m2, lh, lams):
     what = _naming("different-class fixed point", C=C, m2=m2, lh=lh, lam=lams)
     C, m2, lh, lams = (np.asarray(v, dtype=float) for v in (C, m2, lh, lams))
     c2 = C - 2.0
-    neg_beta = (C - 1.0) * lh / (C * m2)
+    with np.errstate(over="ignore"):
+        neg_beta = (C - 1.0) * lh / (C * m2)
     cell = [c2, neg_beta, _math_log(neg_beta), _math_log(c2)]
+    bad = ~(np.isfinite(cell[2]) & np.isfinite(cell[3]))
+    if bad.any():
+        j = np.flatnonzero(np.broadcast_to(bad, np.broadcast_shapes(bad.shape, lams.shape)))[0]
+        raise KernelSolveError(f"{what(j)}: log(-beta) or log(C - 2) is not finite")
     u = _find_root(
         lambda u, lam, *cell: _diff_state(u, lam, *cell)[0],
         -1.0,

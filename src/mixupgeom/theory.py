@@ -10,7 +10,7 @@ channel amplification used for the perturbed configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class SameClassSolution:
     multiplier: float
     k: float
     inner_self: float  # (1-C) K
-    inner_tail: float  # K
     coeff: float  # (1-C) K / m^2
     residual: float  # |log-form scalar equation| at K
 
@@ -65,10 +64,8 @@ class DifferentClassSolution:
     p_i: float
     p_ip: float
     p_tail: float
-    partition_s: float
     coeff_i: float
     coeff_ip: float
-    residual: float  # gradient norm of the assembled feature
 
 
 @dataclass
@@ -81,215 +78,101 @@ class FeatureRecord:
     amplified: bool = False
 
 
-def _gram(C: int, m2: float) -> np.ndarray:
-    return m2 * (C / (C - 1.0)) * (np.eye(C) - np.ones((C, C)) / C)
+def _solve_cells(cells, lams):
+    """Both solution families of every parameter cell, from arrays.
 
-
-def _diff_gradient_norm(sol: DifferentClassSolution, lambda_h: float) -> float:
-    """Gradient norm of the assembled feature, computed intrinsically
-    from the ETF Gram matrix (independent of the embedding dimension)."""
-    C = sol.num_classes
-    m2 = sol.multiplier**2
-    coeffs = np.zeros(C)
-    v = np.full(C, sol.p_tail)
-    v[0] = sol.p_i - sol.lam
-    v[1] = sol.p_ip - (1.0 - sol.lam)
-    coeffs[0] = sol.coeff_i
-    coeffs[1] = sol.coeff_ip
-    # grad = W^T (p - y) + lambda_h h = W^T (v + lambda_h c)
-    u = v + lambda_h * coeffs
-    g = _gram(C, m2)
-    return math.sqrt(max(float(u @ g @ u), 0.0))
-
-
-def _columns(cells):
-    """C, m2 and lh of each parameter cell, as columns that broadcast
-    against a row of mixing coefficients."""
-    return tuple(
-        np.array([[v] for v in values])
-        for values in zip(*((p.C, p.m**2, p.lambda_h) for p in cells))
-    )
-
-
-def solve_same_classes(cells) -> list[SameClassSolution]:
-    """Unique K < 0 of the same-class equation and its derived fields,
-    for every parameter cell in one kernel solve.
-
-    Independent of the mixing coefficient: the soft target collapses to
-    a single one-hot vector when both sources share a class.
+    Returns the same-class solution of each cell and a dict of the
+    different-class fields that follow lam, keyed by the names of
+    DifferentClassSolution in its order, each a cells x lams array; lams
+    is a list of floats. One kernel solve covers the same-class equation
+    of all cells, one the interior lam of the cells with C >= 3 and one
+    those of the C = 2 cells, which have no tail and their own scalar
+    equation (inner products +/-x). At lam exactly 0 or 1 the target is
+    one-hot, so the solution is the same-class one of the surviving
+    class: the formulas run with k = K.
     """
-    cells = list(cells)
-    ks = kernels.solve_same_class_k(*_columns(cells)).ravel().tolist()
-    solutions = []
-    for params, k in zip(cells, ks):
-        C, m2, lh = params.C, params.m**2, params.lambda_h
-        solutions.append(
-            SameClassSolution(
-                num_classes=C,
-                multiplier=params.m,
-                k=k,
-                inner_self=(1.0 - C) * k,
-                inner_tail=k,
-                coeff=(1.0 - C) * k / m2,
-                residual=abs(float(kernels.same_class_equation(k, C, m2, lh))),
-            )
+    for v in lams:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {v}")
+    C, m2, lh = (
+        np.array([[v] for v in column])
+        for column in zip(*((p.C, p.m**2, p.lambda_h) for p in cells))
+    )
+    lam = np.array(lams, dtype=float)[None, :]
+    one, zero = lam == 1.0, lam == 0.0
+    interior = ~(one | zero)
+    same_k = kernels.solve_same_class_k(C, m2, lh)
+    sames = [
+        SameClassSolution(
+            num_classes=p.C,
+            multiplier=p.m,
+            k=k,
+            inner_self=(1.0 - p.C) * k,
+            coeff=(1.0 - p.C) * k / p.m**2,
+            residual=abs(float(kernels.same_class_equation(k, p.C, p.m**2, p.lambda_h))),
         )
-    return solutions
-
-
-def solve_same_class(params: TheoryParams) -> SameClassSolution:
-    """The same-class solution of one parameter cell; see
-    solve_same_classes."""
-    return solve_same_classes([params])[0]
-
-
-def _diff_from_same(
-    params: TheoryParams, same: SameClassSolution, lam: float
-) -> DifferentClassSolution:
-    """Degenerate lam in {0, 1}: the target is one-hot, so the solution
-    is the same-class one for the surviving class."""
-    C, m2 = params.C, params.m**2
-    k = same.k
-    p = params.lambda_h * (1.0 - C) * k / (C * m2)
-    p_top = 1.0 - (C - 1.0) * p
-    s = math.exp(k) / p
-    if lam == 1.0:
-        inner_i, inner_ip = same.inner_self, k
-        p_i, p_ip = p_top, p
-    else:
-        inner_i, inner_ip = k, same.inner_self
-        p_i, p_ip = p, p_top
-    sol = DifferentClassSolution(
-        num_classes=C,
-        multiplier=params.m,
-        lam=lam,
-        k_lambda=k,
-        inner_i=inner_i,
-        inner_ip=inner_ip,
-        p_i=p_i,
-        p_ip=p_ip,
-        p_tail=p,
-        partition_s=s,
-        coeff_i=(1.0 - C) / (C * m2) * (k - inner_i),
-        coeff_ip=(1.0 - C) / (C * m2) * ((C - 1.0) * k + inner_i),
-        residual=0.0,
-    )
-    return replace(sol, residual=_diff_gradient_norm(sol, params.lambda_h))
-
-
-def _diff_two_class(params: TheoryParams, lam: float, x: float) -> DifferentClassSolution:
-    """C = 2: no tail classes. Inner products are +/-x with x the root of
-    a single increasing scalar equation; the tail value degenerates to 0
-    (stored as k_lambda = 0 with p_tail = 0)."""
-    m2 = params.m**2
-    s = math.exp(x) + math.exp(-x)
-    sol = DifferentClassSolution(
-        num_classes=2,
-        multiplier=params.m,
-        lam=lam,
-        k_lambda=0.0,
-        inner_i=x,
-        inner_ip=-x,
-        p_i=math.exp(x) / s,
-        p_ip=math.exp(-x) / s,
-        p_tail=0.0,
-        partition_s=s,
-        coeff_i=x / (2.0 * m2),
-        coeff_ip=-x / (2.0 * m2),
-        residual=0.0,
-    )
-    return replace(sol, residual=_diff_gradient_norm(sol, params.lambda_h))
-
-
-def _diff_from_root(
-    params: TheoryParams, lam: float, k: float, inner_i: float
-) -> DifferentClassSolution:
-    """C >= 3: the solution fixed by the tail value k and inner_i."""
-    C, m2, lh = params.C, params.m**2, params.lambda_h
-    inner_ip = -(C - 2.0) * k - inner_i
-    p_tail = (1.0 - C) * lh * k / (C * m2)
-    p_i = lam + (1.0 - C) * lh * inner_i / (C * m2)
-    p_ip = (1.0 - lam) + (1.0 - C) * lh * inner_ip / (C * m2)
-    sol = DifferentClassSolution(
-        num_classes=C,
-        multiplier=params.m,
-        lam=lam,
-        k_lambda=k,
-        inner_i=inner_i,
-        inner_ip=inner_ip,
-        p_i=p_i,
-        p_ip=p_ip,
-        p_tail=p_tail,
-        partition_s=math.exp(k) / p_tail,
-        coeff_i=(1.0 - C) / (C * m2) * (k - inner_i),
-        coeff_ip=(1.0 - C) / (C * m2) * ((C - 1.0) * k + inner_i),
-        residual=0.0,
-    )
-    sol = replace(sol, residual=_diff_gradient_norm(sol, params.lambda_h))
-    if not (0.0 < p_i < 1.0 and 0.0 < p_ip < 1.0):
-        raise kernels.KernelSolveError(
-            f"solution probabilities out of range: p_i={p_i}, p_ip={p_ip}"
-        )
-    return sol
-
-
-def _solve_different(cells, lams, sames) -> list[list[DifferentClassSolution]]:
-    """Different-class solutions of every cell at every lam (each in
-    [0, 1]). The distinct interior coefficients of all cells with C >= 3
-    are one kernel solve, and those of all cells with C = 2, which have
-    their own scalar equation, another. Degenerate targets (lam exactly 0
-    or 1) take the cell's same-class solution from ``sames``, or from one
-    solve of all cells here when ``sames`` is None."""
-    lams = [float(v) for v in lams]
-    for lam in lams:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    interior = list(dict.fromkeys(v for v in lams if 0.0 < v < 1.0))
-    by_lam = [{} for _ in cells]
-    wide = [n for n, p in enumerate(cells) if p.C >= 3]
-    if interior and wide:
-        ks, xs = kernels.solve_diff_k(*_columns([cells[n] for n in wide]), interior)
-        for n, k_row, x_row in zip(wide, ks.tolist(), xs.tolist()):
-            by_lam[n] = {
-                lam: _diff_from_root(cells[n], lam, k, x)
-                for lam, k, x in zip(interior, k_row, x_row)
-            }
-    two = [n for n, p in enumerate(cells) if p.C == 2]
-    if interior and two:
-        _, m2, lh = _columns([cells[n] for n in two])
-        xs = kernels.solve_two_class_inner(m2, lh, interior)
-        for n, x_row in zip(two, xs.tolist()):
-            by_lam[n] = {
-                lam: _diff_two_class(cells[n], lam, x) for lam, x in zip(interior, x_row)
-            }
-    if sames is None and any(lam in (0.0, 1.0) for lam in lams):
-        sames = solve_same_classes(cells)
-    return [
-        [solved.get(lam) or _diff_from_same(params, sames[n], lam) for lam in lams]
-        for n, (params, solved) in enumerate(zip(cells, by_lam))
+        for p, k in zip(cells, same_k.ravel().tolist())
     ]
+    inner_self = (1.0 - C) * same_k
+    k = np.broadcast_to(same_k, (len(C), lam.size)).copy()
+    x = np.where(one, inner_self, k)
+    cols = np.flatnonzero(interior)
+    wide, two = np.flatnonzero(C >= 3), np.flatnonzero(C == 2)
+    if cols.size and wide.size:
+        at = np.ix_(wide, cols)
+        k[at], x[at] = kernels.solve_diff_k(C[wide], m2[wide], lh[wide], lam[:, cols])
+    if cols.size and two.size:
+        at = np.ix_(two, cols)
+        k[at] = 0.0
+        x[at] = kernels.solve_two_class_inner(m2[two], lh[two], lam[:, cols])
+    x_ip = np.where(one, k, np.where(zero, inner_self, -(C - 2.0) * k - x))
+    decay = (1.0 - C) * lh
+    p_tail = decay * k / (C * m2)
+    p_top = 1.0 - (C - 1.0) * p_tail
+    p_i = np.where(one, p_top, lam + decay * x / (C * m2))
+    p_ip = np.where(zero, p_top, (1.0 - lam) + decay * x_ip / (C * m2))
+    bad = (C >= 3) & interior & ~((0.0 < p_i) & (p_i < 1.0) & (0.0 < p_ip) & (p_ip < 1.0))
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
+        raise kernels.KernelSolveError(
+            f"solution probabilities out of range: p_i={p_i.flat[j]}, p_ip={p_ip.flat[j]}"
+        )
+    # C = 2 keeps +/-x / (2 m^2): the general form with k = 0 rounds otherwise.
+    pair = (C == 2) & interior
+    scale = (1.0 - C) / (C * m2)
+    coeff_i = np.where(pair, x / (2.0 * m2), scale * (k - x))
+    coeff_ip = np.where(pair, -x / (2.0 * m2), scale * ((C - 1.0) * k + x))
+    return sames, dict(
+        k_lambda=k, inner_i=x, inner_ip=x_ip, p_i=p_i, p_ip=p_ip, p_tail=p_tail,
+        coeff_i=coeff_i, coeff_ip=coeff_ip,
+    )
 
 
 def solve_grid(cells, lams) -> list[tuple[SameClassSolution, list[DifferentClassSolution]]]:
     """For each parameter cell, its same-class solution and its
-    different-class solutions at every lam in lams: one same-class and
-    one different-class kernel solve for the whole grid."""
-    cells = list(cells)
-    sames = solve_same_classes(cells)
-    return list(zip(sames, _solve_different(cells, lams, sames)))
+    different-class solutions at every lam in lams (each in [0, 1]),
+    from one array solve of the whole grid."""
+    lams = [float(v) for v in lams]
+    sames, diff = _solve_cells(list(cells), lams)
+    grid = []
+    for same, cell in zip(sames, np.stack(list(diff.values()), axis=-1).tolist()):
+        head = (same.num_classes, same.multiplier)
+        grid.append((same, [DifferentClassSolution(*head, lam, *v) for lam, v in zip(lams, cell)]))
+    return grid
 
 
-def solve_different_classes(params: TheoryParams, lams) -> list[DifferentClassSolution]:
-    """Fixed-point solves for the different-class feature, one per
-    coefficient in lams (each in [0, 1]); the same-class equation is
-    solved only if some lam is exactly 0 or 1. See solve_grid."""
-    return _solve_different([params], lams, None)[0]
+def solve_same_class(params: TheoryParams) -> SameClassSolution:
+    """The unique K < 0 of the same-class equation and its derived
+    fields. Independent of the mixing coefficient: the soft target
+    collapses to a single one-hot vector when both sources share a
+    class. One-cell form of solve_grid."""
+    return solve_grid([params], [])[0][0]
 
 
 def solve_different_class(params: TheoryParams, lam: float) -> DifferentClassSolution:
     """Fixed-point solve for the different-class feature at one
-    coefficient lam in [0, 1]; see solve_different_classes."""
-    return solve_different_classes(params, [lam])[0]
+    coefficient lam in [0, 1]; one-cell form of solve_grid."""
+    return solve_grid([params], [lam])[0][1][0]
 
 
 def _pair_features(rows, i, ip, coeff_i, coeff_ip):
@@ -373,14 +256,14 @@ def generate_configuration(
             raise ValueError(f"class {c} out of range for C={params.C}")
     if params.C != etf.num_classes or params.m != etf.multiplier:
         raise ValueError("solution parameters do not match the supplied ETF")
-    ((same, diff),) = solve_grid([params], lambda_samples)
+    (same,), diff = _solve_cells([params], lambda_samples)
     rows = etf.rows
     same_h = {c: same.coeff * rows[c] for c in class_subset}
     pairs = [(a, b) for a in class_subset for b in class_subset if a != b]
     i = np.array([a for a, _ in pairs], dtype=int)
     ip = np.array([b for _, b in pairs], dtype=int)
-    coeff = np.array([(s.coeff_i, s.coeff_ip) for s in diff])[:, :, None, None]
-    h = _pair_features(rows, i, ip, coeff[:, 0], coeff[:, 1])
+    coeff_i, coeff_ip = diff["coeff_i"][0, :, None, None], diff["coeff_ip"][0, :, None, None]
+    h = _pair_features(rows, i, ip, coeff_i, coeff_ip)
     if amplified:
         eps = np.array([epsilon_amplification(lam) for lam in lambda_samples])
         h = h + _channel_shift(rows, i, ip, eps[:, None, None])

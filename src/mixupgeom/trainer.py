@@ -17,6 +17,7 @@ import numpy as np
 from .etf import EtfMetrics, build_simplex_etf, etf_deviation_metrics
 from .mixup import BetaSpec, MixupBatch, make_mixup_batch
 from .theory import FeatureRecord
+from .ufm import _log_softmax
 
 RELU = "relu"
 TANH = "tanh"
@@ -194,11 +195,6 @@ def forward_pass(weights, biases, clf_w, clf_b, activation, x):
     return pre, post, logits
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def loss_and_grads(weights, biases, clf_w, clf_b, activation, x, targets, loss_kind):
     """Batch loss and gradients for every parameter, by backpropagation.
 
@@ -211,7 +207,7 @@ def loss_and_grads(weights, biases, clf_w, clf_b, activation, x, targets, loss_k
     pre, post, logits = forward_pass(weights, biases, clf_w, clf_b, activation, x)
     n = len(x)
     if loss_kind in (CE_MIXUP, CE_BASELINE):
-        logp = _log_softmax_rows(logits)
+        logp = _log_softmax(logits)
         loss = float(-(targets * logp).sum() / n)
         dlogits = (np.exp(logp) - targets) / n
     else:
@@ -347,7 +343,7 @@ def predict_logits(model: TrainedModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_probs(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax_rows(predict_logits(model, x)))
+    return np.exp(_log_softmax(predict_logits(model, x)))
 
 
 def accuracy(model: TrainedModel, x: np.ndarray, labels: np.ndarray) -> float:

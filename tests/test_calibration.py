@@ -83,6 +83,8 @@ def test_validation_errors():
         ece([0.5], [0], [0], num_bins=0)
     with pytest.raises(ValueError):
         ece([], [], [], num_bins=5)
+    with pytest.raises(ValueError, match="confidences must lie in"):
+        ece([0.5, float("nan")], [0, 0], [0, 0], num_bins=5)
 
 
 def _zero_logit_model(num_classes=4, width=3):

@@ -381,6 +381,23 @@ def test_ece_bad_file(tmp_path, capsys):
     assert ":2:" in stderr
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("nan,0,1", "confidence 'nan' is not finite"),
+        ("inf,0,1", "confidence 'inf' is not finite"),
+        ("0.8,2,2,7", "4 fields, expected 3"),
+        ("0.8,2", "2 fields, expected 3"),
+    ],
+)
+def test_ece_names_the_line_of_a_malformed_row(tmp_path, capsys, row, message):
+    preds = tmp_path / "preds.csv"
+    preds.write_text(f"confidence,predicted,label\n0.9,0,0\n{row}\n0.7,1,1\n")
+    code, stdout, stderr = run(["ece", "--predictions", str(preds)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {preds}:3: bad prediction row: {message}\n"
+
+
 def test_etf_metrics_on_exact_frame(tmp_path, capsys):
     clf = tmp_path / "clf.csv"
     write_classifier_csv(clf, build_simplex_etf(4, 7, 2.0, seed=0).rows)
@@ -388,6 +405,27 @@ def test_etf_metrics_on_exact_frame(tmp_path, capsys):
     assert code == 0
     cv, cs = (float(v) for v in stdout.split())
     assert cv < 1e-12 and cs < 1e-12
+
+
+def test_etf_metrics_rejects_a_non_finite_classifier_value(tmp_path, capsys):
+    clf = tmp_path / "clf.csv"
+    clf.write_text("1.0,0.0,0.0\nnan,1.0,0.0\n0.0,0.0,1.0\n")
+    code, stdout, stderr = run(["etf-metrics", "--classifier", str(clf)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {clf}:2: bad classifier row: value nan is not finite\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_theory_solve_reports_an_unsolvable_cell_in_one_line(capsys):
+    # -beta underflows and the same-class rhs overflows at this cell; no
+    # numpy warning may reach stderr ahead of the error.
+    argv = ["theory-solve", "--m", "1e150", "--lambda-h", "1e-300", "--samples", "3"]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "error: same-class equation (C=10, m2=9.999999999999999e+299, lh=1e-300): "
+        "no sign change in [-700.0, 50.0]\n"
+    )
 
 
 def test_help_available_for_every_command(capsys):

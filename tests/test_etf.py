@@ -91,3 +91,13 @@ def test_classifier_csv_errors(tmp_path):
     ragged.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match="ragged"):
         read_classifier_csv(ragged)
+    path = tmp_path / "clf.csv"
+    for text, message in [
+        ("1.0,2.0\n\n3.0,4.0\n5.0\n", "clf.csv:4: ragged classifier rows: 1 values, the first"),
+        ("1.0,2.0\n3.0,4.0,5.0\n", "clf.csv:2: ragged classifier rows: 3 values"),
+        ("1.0,2.0\nnan,4.0\n", "clf.csv:2: bad classifier row: value nan is not finite"),
+        ("1.0,-inf\n3.0,4.0\n", "clf.csv:1: bad classifier row: value -inf is not finite"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"/{message}"):
+            read_classifier_csv(path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixupgeom import kernels
-from mixupgeom.theory import TheoryParams, solve_different_classes
+from mixupgeom.theory import TheoryParams, solve_grid
 
 
 def _bisect(f, lo, hi):
@@ -75,7 +75,7 @@ lambdas = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @settings(max_examples=25, deadline=None)
 @given(C=classes, m=multipliers, lh=decays, lam=lambdas)
 def test_solution_over_the_domain(C, m, lh, lam):
-    (sol,) = solve_different_classes(TheoryParams(C=C, m=m, lambda_h=lh, d=C), [lam])
+    ((_, (sol,)),) = solve_grid([TheoryParams(C=C, m=m, lambda_h=lh, d=C)], [lam])
     assert abs(outer_residual(sol.k_lambda, C, m * m, lh, lam)) <= 1e-12
     assert 0.0 < sol.p_i < 1.0 and 0.0 < sol.p_ip < 1.0
 
@@ -130,3 +130,18 @@ def test_solve_errors_name_the_failing_element():
         kernels.KernelSolveError, match=r"^same-class equation \(C=3, m2=1e\+300, lh=1e-300\)"
     ):
         kernels.solve_same_class_k([[10], [3]], [[9.0], [1e300]], [[1e-6], [1e-300]])
+
+
+def test_cell_without_finite_logs_is_named():
+    # -beta = (C-1)*lh/(C*m2) underflows to 0 in the second cell, so
+    # log(-beta) has no finite value; the next cell overflows it.
+    with pytest.raises(
+        kernels.KernelSolveError,
+        match=r"^different-class fixed point \(C=3, m2=1e\+300, lh=1e-300, lam=0\.2\): "
+        r"log\(-beta\) or log\(C - 2\) is not finite",
+    ):
+        kernels.solve_diff_k([[10], [3]], [[9.0], [1e300]], [[1e-6], [1e-300]], [0.2, 0.5])
+    with pytest.raises(kernels.KernelSolveError, match=r"\(C=4, m2=1e-300, lh=1e\+300,"):
+        kernels.solve_diff_k(4, 1e-300, 1e300, 0.5)
+    with pytest.raises(kernels.KernelSolveError):
+        solve_grid([TheoryParams(C=3, m=1e150, lambda_h=1e-300, d=3)], [0.5])

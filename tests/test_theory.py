@@ -13,7 +13,6 @@ from mixupgeom.theory import (
     features_to_csv,
     generate_configuration,
     solve_different_class,
-    solve_different_classes,
     solve_grid,
     solve_same_class,
 )
@@ -119,14 +118,11 @@ def test_degenerate_lambdas_share_one_same_class_solve(monkeypatch):
         kernels, "solve_same_class_k", lambda *a: calls.append(a) or solve(*a)
     )
     lams = [0.0, 1.0, 0.5, 1.0, 0.0]
-    sols = solve_different_classes(PARAMS, lams)
+    ((_, sols),) = solve_grid([PARAMS], lams)
     assert len(calls) == 1
     assert [s.lam for s in sols] == lams
     assert sols[1] == sols[3] == solve_different_class(PARAMS, 1.0)
     assert sols[0] == sols[4] == solve_different_class(PARAMS, 0.0)
-    calls.clear()
-    solve_different_classes(PARAMS, [0.25, 0.5])
-    assert calls == []
 
 
 def test_grid_matches_cell_by_cell_solves():
@@ -141,7 +137,7 @@ def test_grid_matches_cell_by_cell_solves():
     assert len(grid) == len(cells)
     for params, (same, sols) in zip(cells, grid):
         assert same == solve_same_class(params)
-        assert sols == solve_different_classes(params, lams)
+        assert sols == [solve_different_class(params, lam) for lam in lams]
 
 
 def test_p_i_monotone_in_lambda():
@@ -221,8 +217,7 @@ def test_configuration_matches_per_record_assembly():
         (PARAMS, [4], [0.6]),
     ]:
         frame = build_simplex_etf(params.C, params.d, params.m, seed=1)
-        same = solve_same_class(params)
-        diff = solve_different_classes(params, lams)
+        ((same, diff),) = solve_grid([params], lams)
         for amplified in (False, True):
             records = generate_configuration(params, frame, subset, lams, amplified)
             expected = []
