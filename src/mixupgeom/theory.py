@@ -9,7 +9,14 @@ channel amplification used for the perturbed configuration.
 
 from __future__ import annotations
 
+import array
+import collections
+import contextlib
 import math
+import os
+import pickle
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,8 @@ class TheoryParams:
             raise ValueError(f"need at least 2 classes, got {self.C}")
         if self.m == 0 or not math.isfinite(self.m):
             raise ValueError(f"multiplier must be finite and nonzero, got {self.m}")
+        if not 0 < self.m * self.m < math.inf:
+            raise ValueError(f"multiplier m={self.m} has no positive finite square")
         if not 0 < self.lambda_h < math.inf:
             raise ValueError(f"lambda_h must be positive and finite, got {self.lambda_h}")
         if self.d < self.C:
@@ -282,68 +291,221 @@ def generate_configuration(
 
 
 CSV_KINDS = {SAME_CLASS, DIFFERENT_CLASS}
+CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
+
+# Floats of text work each process must get. A fork costs CPU whether or
+# not another CPU is free: in a 39 MB process that had run a theory-solve,
+# a fork, exit and wait and the re-faulting of the copy-on-write heap
+# after it took 4.3 ms more CPU than no fork (median of 60), and a child
+# that formats or parses also copies every page it writes. Writing a file
+# and reading it back in two processes against one, medians of 7-15 runs
+# on a 2-vCPU guest that shared its CPUs with other load: 90 000 floats
+# 18-19% more wall time and 12-17% more CPU; 250 000 floats 21-36% less
+# wall, 10-17% more CPU; 500 000 and 1 000 000 floats 37-44% less wall,
+# -5 to +11% CPU. Where no second CPU is free the extra CPU is extra wall
+# time, and the guest's second CPU came and went within seconds. So a
+# second process starts from 500 000 floats, where a busy machine loses
+# about a tenth at most and an idle one gains a third or more.
+FLOOR = 250_000
+
+
+def _process_count(floats: int) -> int:
+    """Processes that share text work of this many floats: one per CPU
+    this process may run on, each with at least FLOOR floats."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, floats // FLOOR))
+
+
+def _reap(pid: int, fd: int):
+    """The (ok, value) a child made by _fork_map sent through fd, once
+    the child has ended."""
+    with open(fd, "rb") as fh:
+        try:
+            reply = pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError):
+            reply = None
+    status = os.waitpid(pid, 0)[1]
+    if reply is None:
+        code = os.waitstatus_to_exitcode(status)
+        reply = (False, f"feature CSV worker {pid} ended without a result (exit {code})")
+    return reply
+
+
+def _fork_map(work, blocks) -> list:
+    """[work(block) for block in blocks], the first block run here and
+    every other in a child made with os.fork, which pickles its result
+    back through a pipe. A child's exception is raised here as a
+    ValueError with its message, after every child has ended. work must
+    make no BLAS call: a fork copies no thread, and BLAS may have some."""
+    children = []
+    try:
+        for j, block in enumerate(blocks[1:], 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    os.close(r)
+                    try:
+                        reply = (True, work(block))
+                    except Exception as exc:
+                        reply = (False, str(exc))
+                    # Protocol 5 reads a contiguous array's bytes into one
+                    # buffer that the array here is a view of: no copy.
+                    with open(w, "wb") as fh:
+                        pickle.dump(reply, fh, 5)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        results = [work(blocks[0])]
+    finally:
+        replies = [_reap(pid, r) for pid, r in children]
+    for ok, value in replies:
+        if not ok:
+            raise ValueError(value)
+        results.append(value)
+    return results
+
+
+def _write_rows(records, fh) -> None:
+    """One CSV line per record; floats in shortest round-trip form. An h
+    array that several records share (the same-class records of a
+    configuration) is formatted once and its text kept; other rows are
+    not kept once written."""
+    # Keyed by id(h): every h stays alive in records while these are used.
+    shared = {key for key, n in collections.Counter(id(r.h) for r in records).items() if n > 1}
+    texts = {}
+    for r in records:
+        text = texts.get(id(r.h))
+        if text is None:
+            text = ",".join(map(repr, np.asarray(r.h, dtype=float).tolist()))
+            if id(r.h) in shared:
+                texts[id(r.h)] = text
+        front = f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
+        fh.write(f"{front},{text}\n")
 
 
 def features_to_csv(records, path) -> None:
-    """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1};
-    floats in shortest round-trip form. Each distinct h array is
-    formatted once, so records that share one (the same-class records of
-    a configuration) share its text."""
+    """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
+    one row per record (see _write_rows). The records are cut into one
+    contiguous block per process (_process_count); every block but the
+    first is written to its own new part file beside path, and the parts
+    are appended to path in order."""
     records = list(records)
     if not records:
         raise ValueError("no records to write")
     d = len(records[0].h)
-    header = "class_i,class_ip,lambda,kind,amplified," + ",".join(
-        f"h_{j}" for j in range(d)
-    )
-    # Keyed by id(h): every h stays alive in records while the dict is used.
-    texts = {}
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for r in records:
-            text = texts.get(id(r.h))
-            if text is None:
-                h = np.asarray(r.h, dtype=float)
-                if h.shape != (d,):
-                    raise ValueError(f"feature has shape {h.shape}, the file has {d} values")
-                text = texts[id(r.h)] = ",".join(map(repr, h.tolist()))
-            front = f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
-            fh.write(f"{front},{text}\n")
+    for r in records:
+        if np.shape(r.h) != (d,):
+            raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
+    n = _process_count(len(records) * d)
+    cuts = [len(records) * j // n for j in range(n + 1)]
+    parts = []
+
+    def write(j):
+        with open(path if j == 0 else parts[j - 1], "a" if j == 0 else "w") as fh:
+            _write_rows(records[cuts[j]:cuts[j + 1]], fh)
+
+    try:
+        # Each part file is made new here, so no file of the caller's is
+        # overwritten or removed.
+        for _ in range(1, n):
+            fd, part = tempfile.mkstemp(prefix=".part-", dir=os.path.dirname(os.path.abspath(path)))
+            os.close(fd)
+            parts.append(part)
+        with open(path, "w") as out:
+            out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]) + "\n")
+        _fork_map(write, range(n))
+        with open(path, "ab") as out:
+            for part in parts:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+
+
+def _parse_row(line: str, d: int, values) -> tuple:
+    """(class_i, class_ip, lambda, kind, amplified) of one CSV row; its d
+    h values are appended to the array values."""
+    parts = line.split(",")
+    if len(parts) - 5 != d:
+        raise ValueError(f"{len(parts) - 5} h values, the header has {d}")
+    kind, flag = parts[3], parts[4]
+    if kind not in CSV_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if flag not in ("0", "1"):
+        raise ValueError(f"amplified must be 0 or 1, got {flag!r}")
+    front = (int(parts[0]), int(parts[1]), float(parts[2]), kind, flag == "1")
+    values.extend(map(float, parts[5:]))
+    return front
+
+
+def _read_rows(path, lo: int, hi: int, d: int):
+    """Parse the lines that start in bytes [lo, hi) of path. Returns
+    (fronts, h, lines read, bad): the _parse_row tuple of each row, its
+    h values as a rows x d array, and None or (line within the block,
+    message) of the first malformed row, at which reading stops. Blank
+    lines are skipped but counted."""
+    fronts, values = [], array.array("d")
+    lines, pos = 0, lo
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        for raw in fh:
+            if pos >= hi:
+                break
+            pos += len(raw)
+            lines += 1
+            try:
+                line = raw.decode().strip()
+                if line:
+                    fronts.append(_parse_row(line, d, values))
+            except ValueError as exc:
+                return fronts, None, lines, (lines, str(exc))
+    return fronts, np.frombuffer(values, dtype=float).reshape(len(fronts), d), lines, None
 
 
 def features_from_csv(path) -> list[FeatureRecord]:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
-    the header's, an unknown kind or an amplified flag other than 0/1."""
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:5] != ["class_i", "class_ip", "lambda", "kind", "amplified"]:
+    the header's, an unknown kind or an amplified flag other than 0/1.
+    The rows are cut at line starts into one contiguous byte range per
+    process (_process_count, estimated from the first row's length);
+    every range but the first is parsed in a child."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().strip().split(",")
+        if header[:5] != CSV_FRONT:
             raise ValueError(f"{path}:1: unexpected feature CSV header")
         d = len(header) - 5
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) - 5 != d:
-                    raise ValueError(f"{len(parts) - 5} h values, the header has {d}")
-                kind, flag = parts[3], parts[4]
-                if kind not in CSV_KINDS:
-                    raise ValueError(f"unknown kind {kind!r}")
-                if flag not in ("0", "1"):
-                    raise ValueError(f"amplified must be 0 or 1, got {flag!r}")
-                records.append(
-                    FeatureRecord(
-                        class_i=int(parts[0]),
-                        class_ip=int(parts[1]),
-                        lam=float(parts[2]),
-                        h=np.fromiter(map(float, parts[5:]), float, d),
-                        kind=kind,
-                        amplified=flag == "1",
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad feature row: {exc}") from None
+        start = fh.tell()
+        size = os.fstat(fh.fileno()).st_size
+        first = len(fh.readline())
+        n = _process_count((size - start) // max(first, 1) * d)
+        cuts = [start]
+        for j in range(1, n):
+            fh.seek(start + (size - start) * j // n - 1)
+            fh.readline()
+            cuts.append(fh.tell())
+        cuts.append(size)
+    blocks = list(zip(cuts, cuts[1:]))
+    records, line = [], 1
+    for fronts, h, lines, bad in _fork_map(lambda b: _read_rows(path, *b, d), blocks):
+        if bad is not None:
+            raise ValueError(f"{path}:{line + bad[0]}: bad feature row: {bad[1]}")
+        records += [
+            FeatureRecord(i, ip, lam, row, kind, amplified)
+            for (i, ip, lam, kind, amplified), row in zip(fronts, h)
+        ]
+        line += lines
     return records

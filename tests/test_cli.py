@@ -428,6 +428,17 @@ def test_theory_solve_reports_an_unsolvable_cell_in_one_line(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["theory-solve", "--m", "1e200", "--samples", "3"], ["oracle-check", "--m-list", "3,1e200"]],
+    ids=["theory-solve", "oracle-check"],
+)
+def test_a_multiplier_whose_square_overflows_is_one_error_line(capsys, argv):
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: multiplier m=1e+200 has no positive finite square\n"
+
+
 def test_help_available_for_every_command(capsys):
     for cmd in [
         "theory-solve", "oracle-check", "train", "extract",

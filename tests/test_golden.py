@@ -1,12 +1,17 @@
 """Golden bytes of the theory output.
 
-The files under tests/data were written by commit 23e6940 with numpy
-2.4.6 (CPython 3.11, x86-64). Every byte of the feature CSV, of the
+The files under tests/data were written by commit 23e6940 (the
+theory_c3_cell_log files by commit 0a5ed16) with numpy 2.4.6 (CPython
+3.11, x86-64). Every byte of the feature CSV, of the
 summary and of the oracle-check table follows the last bit of each
 solved root and of each closed-form coefficient, so a change that moves
 one bit anywhere in the solve fails here. A numpy whose exp or log
 rounds differently may move them too; regenerate the files only for
 such a change, never to absorb a change of the code.
+
+The cell-log case was found by search: there -beta = 0.00382... is one
+of the few inputs at which np.log and math.log differ in the last bit,
+so it fails if the kernels take the cell logs with np.log.
 """
 
 from pathlib import Path
@@ -31,8 +36,12 @@ DATA = Path(__file__).parent / "data"
             "--amplify",
             {"out": "theory_c10_amplified.csv"},
         ),
+        (
+            "--C 3 --m 8.35 --d 3 --lambda-h 0.4 --classes 3 --samples 6 --seed 0",
+            {"out": "theory_c3_cell_log.csv", "summary-out": "theory_c3_cell_log.summary.json"},
+        ),
     ],
-    ids=["two-class", "amplified"],
+    ids=["two-class", "amplified", "cell-log"],
 )
 def test_theory_solve_output_matches_the_stored_bytes(tmp_path, capsys, argv, files):
     flags = [arg for flag, name in files.items() for arg in (f"--{flag}", str(tmp_path / name))]

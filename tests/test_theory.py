@@ -1,7 +1,10 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
-from mixupgeom import kernels
+from mixupgeom import kernels, theory
 from mixupgeom.etf import build_simplex_etf
 from mixupgeom.mixup import DIFFERENT_CLASS, SAME_CLASS, BetaSpec, make_mixup_batch
 from mixupgeom.theory import (
@@ -40,6 +43,10 @@ def test_params_validation():
             TheoryParams(C=3, m=m, lambda_h=1e-6, d=5)
     with pytest.raises(ValueError, match="got inf"):
         TheoryParams(C=3, m=1.0, lambda_h=float("inf"), d=5)
+    # m^2 overflows or underflows a float.
+    for m in (1e200, -1e155, 1e-200):
+        with pytest.raises(ValueError, match=re.escape(f"m={m} has no positive finite square")):
+            TheoryParams(C=3, m=m, lambda_h=1e-6, d=5)
 
 
 def test_same_class_solution_structure():
@@ -255,7 +262,7 @@ def _extracted_records():
     return extract_activations(model, batch)
 
 
-@pytest.mark.parametrize(
+WRITER_CASES = pytest.mark.parametrize(
     "make",
     [
         lambda: generate_configuration(
@@ -274,6 +281,9 @@ def _extracted_records():
     ],
     ids=["plain", "amplified", "two-class", "extracted"],
 )
+
+
+@WRITER_CASES
 def test_features_to_csv_matches_the_per_element_writer(tmp_path, make):
     records = make()
     path = tmp_path / "features.csv"
@@ -329,6 +339,120 @@ def test_feature_csv_writer_rejects_mixed_widths(tmp_path):
     records[2].h = records[2].h[:50]
     with pytest.raises(ValueError, match="shape"):
         features_to_csv(records, tmp_path / "features.csv")
+
+
+def _records_equal(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.class_i, x.class_ip, x.lam, x.kind, x.amplified) == (
+            y.class_i, y.class_ip, y.lam, y.kind, y.amplified
+        )
+        assert x.h.tobytes() == y.h.tobytes()
+
+
+@pytest.fixture(params=[2, 3], ids=["2-processes", "3-processes"])
+def processes(request, monkeypatch):
+    """Feature-CSV I/O forced onto this many processes, whatever the
+    machine has."""
+    monkeypatch.setattr(theory, "_process_count", lambda floats: request.param)
+    return request.param
+
+
+@WRITER_CASES
+def test_features_to_csv_in_blocks_matches_the_per_element_writer(tmp_path, make, processes):
+    records = make()
+    path = tmp_path / "features.csv"
+    features_to_csv(records, path)
+    assert path.read_text() == reference_features_csv(records)
+    assert os.listdir(tmp_path) == ["features.csv"]
+
+
+def test_features_to_csv_in_blocks_keeps_the_callers_files(tmp_path, processes):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
+    path = tmp_path / "features.csv"
+    mine = {f"features.csv.part{j}": f"part {j}\n" for j in range(4)}
+    mine[".part-x"] = "x\n"
+    for name, text in mine.items():
+        (tmp_path / name).write_text(text)
+    features_to_csv(records, path)
+    assert path.read_text() == reference_features_csv(records)
+    assert sorted(os.listdir(tmp_path)) == sorted(["features.csv", *mine])
+    for name, text in mine.items():
+        assert (tmp_path / name).read_text() == text
+
+
+def test_feature_csv_round_trip_in_blocks(tmp_path, processes):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5, 0.9], amplified=True)
+    path = tmp_path / "features.csv"
+    features_to_csv(records, path)
+    _records_equal(features_from_csv(path), records)
+    # Every child was waited for.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_path, processes):
+    header = "class_i,class_ip,lambda,kind,amplified," + ",".join(
+        f"h_{j}" for j in range(12)
+    )
+    good = "0,1,0.5,different_class,0," + ",".join(["1.5"] * 12)
+    bad = good.replace("different_class,0,", "different_class,7,")
+    path = tmp_path / "features.csv"
+    # 30 rows and a blank line; file line n holds rows[n - 2].
+    for bad_lines in ([29], [4], [15, 29], [4, 29]):
+        rows = [good] * 30
+        rows[10] = ""
+        for n in bad_lines:
+            rows[n - 2] = bad
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(
+            ValueError, match=f"features.csv:{bad_lines[0]}: bad feature row: amplified"
+        ):
+            features_from_csv(path)
+    # Blank lines in two blocks and no newline after the bad last row.
+    rows = [good] * 29 + [bad]
+    rows[1] = rows[27] = ""
+    path.write_text("\n".join([header, *rows]))
+    with pytest.raises(ValueError, match="features.csv:31: bad feature row: amplified"):
+        features_from_csv(path)
+
+
+@pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
+def test_feature_csv_writer_error_leaves_no_part_file(tmp_path, processes, where):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
+    records[where].lam = "x"
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        features_to_csv(records, tmp_path / "features.csv")
+    assert os.listdir(tmp_path) == ["features.csv"]
+
+
+def test_one_cpu_never_forks(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(theory, "FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
+    path = tmp_path / "features.csv"
+    features_to_csv(records, path)
+    assert path.read_text() == reference_features_csv(records)
+    _records_equal(features_from_csv(path), records)
+
+
+def test_process_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    floor = theory.FLOOR
+    assert [theory._process_count(n) for n in (0, floor - 1, 2 * floor, 10**9)] == [1, 1, 2, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert theory._process_count(10**9) == 5
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert theory._process_count(10**9) == 1
 
 
 def test_assemble_rejects_mismatched_frame():
