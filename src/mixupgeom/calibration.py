@@ -8,11 +8,15 @@ absolute gap between per-bin accuracy and per-bin mean confidence.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .etf import _bad_header, _parse_rows
+
 DEFAULT_BINS = 15
+PREDICTIONS_HEADER = "confidence,predicted,label"
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,34 @@ def ece(confidences, predicted, labels, num_bins: int = DEFAULT_BINS) -> Calibra
     )
 
 
+def _prediction(line: str) -> tuple:
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"{len(parts)} fields, expected 3")
+    confidence = float(parts[0])
+    if not math.isfinite(confidence):
+        raise ValueError(f"confidence {parts[0]!r} is not finite")
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence {parts[0]!r} is outside [0, 1]")
+    predicted, label = int(parts[1]), int(parts[2])
+    if predicted < 0 or label < 0:
+        raise ValueError(f"class ids must not be negative, got {predicted} and {label}")
+    return confidence, predicted, label
+
+
+def predictions_from_csv(path):
+    """(confidences, predicted, labels) of a CSV with the header
+    confidence,predicted,label. A row without three fields, with a
+    confidence outside [0, 1] or a negative class id raises ValueError
+    naming path:line."""
+    with open(path) as fh:
+        if fh.readline().strip() != PREDICTIONS_HEADER:
+            raise _bad_header(path, "prediction", PREDICTIONS_HEADER)
+        rows = _parse_rows(fh, path, "prediction", _prediction, start=2)
+    conf, pred, lab = zip(*rows) if rows else ((), (), ())
+    return np.array(conf, dtype=float), np.array(pred, dtype=int), np.array(lab, dtype=int)
+
+
 def model_confidences(model, inputs, labels):
     """(max softmax probability, argmax class, labels) for each input.
 
@@ -93,17 +125,4 @@ def report_to_json(report: CalibrationReport) -> str:
             "ece": report.ece,
         },
         indent=2,
-    )
-
-
-def report_from_json(text: str) -> CalibrationReport:
-    doc = json.loads(text)
-    bins = doc["bins"]
-    return CalibrationReport(
-        num_bins=int(doc["num_bins"]),
-        bin_edges=np.array(doc["bin_edges"]),
-        counts=np.array([b["count"] for b in bins], dtype=int),
-        accuracies=np.array([b["accuracy"] for b in bins]),
-        confidences=np.array([b["mean_confidence"] for b in bins]),
-        ece=float(doc["ece"]),
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -28,15 +27,19 @@ from .theory import TheoryParams
 def _atomic_write(path: str, write) -> None:
     """Run ``write`` on a temporary path beside ``path``, named after this
     process and the target, then rename it into place. ``write`` creates
-    the file, so it gets the mode the umask allows."""
+    the file, so it gets the mode the umask allows. An OSError is raised
+    again as 'cannot write <path>: <reason>', naming path, not the
+    temporary one."""
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{name}")
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -50,19 +53,14 @@ def cmd_theory_solve(args) -> int:
     if args.classes < 2 or args.classes > args.C:
         print("error: --classes must be in [2, C]", file=sys.stderr)
         return 2
-    try:
-        params = TheoryParams(C=args.C, m=args.m, lambda_h=args.lambda_h, d=args.d)
-        frame = build_simplex_etf(args.C, args.d, args.m, args.seed)
-        rng = np.random.default_rng(args.seed)
-        lams = sample_lambdas(BetaSpec(args.alpha), args.samples, rng)
-        records = theory.generate_configuration(
-            params, frame, range(args.classes), lams, amplified=args.amplify
-        )
-        cfg = ufm.UfmConfig(lambda_h=args.lambda_h)
-        report = ufm.total_objective(frame.rows, records, cfg)
-    except (KernelSolveError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = TheoryParams(C=args.C, m=args.m, lambda_h=args.lambda_h, d=args.d)
+    frame = build_simplex_etf(args.C, args.d, args.m, args.seed)
+    rng = np.random.default_rng(args.seed)
+    lams = sample_lambdas(BetaSpec(args.alpha), args.samples, rng)
+    records = theory.generate_configuration(
+        params, frame, range(args.classes), lams, amplified=args.amplify
+    )
+    report = ufm.total_objective(frame.rows, records, ufm.UfmConfig(lambda_h=args.lambda_h))
     summary_path = args.summary_out
     if args.out:
         _atomic_write(args.out, lambda p: theory.features_to_csv(records, p))
@@ -106,14 +104,8 @@ def cmd_oracle_check(args) -> int:
     if not cs or not ms or not lhs or not lams:
         print("error: empty oracle grid", file=sys.stderr)
         return 2
-    try:
-        cells = [
-            TheoryParams(C=C, m=m, lambda_h=lh, d=C) for C in cs for m in ms for lh in lhs
-        ]
-        grid = theory.solve_grid(cells, lams)
-    except (KernelSolveError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cells = [TheoryParams(C=C, m=m, lambda_h=lh, d=C) for C in cs for m in ms for lh in lhs]
+    grid = theory.solve_grid(cells, lams)
     worst = 0.0
     failed = False
     print(f"{'C':>4} {'m':>6} {'lambda_h':>10} {'lambda':>8} {'grad_resid':>12} {'status':>8}")
@@ -193,15 +185,11 @@ def _section(cfg: dict, prefix: str) -> dict:
 
 
 def cmd_train(args) -> int:
-    try:
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        spec = trainer.default_dataset_spec(**_section(cfg, "dataset."))
-        data = trainer.make_synthetic(spec)
-        model = trainer.train(data, trainer.TrainConfig(**_section(cfg, "train.")))
-    except (ValueError, OSError, trainer.TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.config) as fh:
+        cfg = parse_config(fh.read())
+    spec = trainer.default_dataset_spec(**_section(cfg, "dataset."))
+    data = trainer.make_synthetic(spec)
+    model = trainer.train(data, trainer.TrainConfig(**_section(cfg, "train.")))
     model_text = trainer.model_to_json(model) + "\n"
     _atomic_write(args.out, lambda p: Path(p).write_text(model_text))
     if args.dataset_out:
@@ -222,7 +210,7 @@ def _read_model_and_dataset(args):
     with open(args.model) as fh:
         model = trainer.model_from_json(fh.read())
     with open(args.dataset) as fh:
-        inputs, labels = trainer.dataset_from_csv(fh.read())
+        inputs, labels = trainer.dataset_from_csv(fh.read(), args.dataset)
     if inputs.shape[1] != model.input_dim:
         raise ValueError(
             f"{args.dataset}: dataset rows have {inputs.shape[1]} inputs, "
@@ -232,16 +220,12 @@ def _read_model_and_dataset(args):
 
 
 def cmd_extract(args) -> int:
-    try:
-        model, inputs, labels = _read_model_and_dataset(args)
-        rng = np.random.default_rng(args.seed)
-        batch = make_mixup_batch(
-            inputs, labels, BetaSpec(args.alpha), args.count, rng, model.num_classes
-        )
-        records = trainer.extract_activations(model, batch)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model, inputs, labels = _read_model_and_dataset(args)
+    rng = np.random.default_rng(args.seed)
+    batch = make_mixup_batch(
+        inputs, labels, BetaSpec(args.alpha), args.count, rng, model.num_classes
+    )
+    records = trainer.extract_activations(model, batch)
     _atomic_write(args.out, lambda p: theory.features_to_csv(records, p))
     print(f"wrote {len(records)} activation records")
     return 0
@@ -251,23 +235,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_project(args) -> int:
-    try:
-        records = theory.features_from_csv(args.features)
-        w = read_classifier_csv(args.classifier)
-        if w.shape[0] != 3:
-            print(
-                f"error: projection needs a 3-row classifier, got {w.shape[0]}",
-                file=sys.stderr,
-            )
-            return 1
-        center = None
-        if args.center_mean:
-            center = np.mean([r.h for r in records], axis=0)
-        op = projection.build_projection(w, center)
-        points = projection.project(op, records)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = theory.features_from_csv(args.features)
+    w = read_classifier_csv(args.classifier)
+    if w.shape[0] != 3:
+        raise ValueError(f"projection needs a 3-row classifier, got {w.shape[0]}")
+    center = None
+    if args.center_mean:
+        center = np.mean([r.h for r in records], axis=0)
+    op = projection.build_projection(w, center)
+    points = projection.project(op, records)
     text = projection.points_to_csv(points)
     _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote {len(points)} projected points")
@@ -278,37 +254,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_ece(args) -> int:
-    try:
-        conf, pred, lab = [], [], []
-        with open(args.predictions) as fh:
-            header = fh.readline().strip()
-            if header != "confidence,predicted,label":
-                raise ValueError(
-                    f"{args.predictions}:1: expected header "
-                    "'confidence,predicted,label'"
-                )
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                try:
-                    if len(parts) != 3:
-                        raise ValueError(f"{len(parts)} fields, expected 3")
-                    confidence = float(parts[0])
-                    if not math.isfinite(confidence):
-                        raise ValueError(f"confidence {parts[0]!r} is not finite")
-                    conf.append(confidence)
-                    pred.append(int(parts[1]))
-                    lab.append(int(parts[2]))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{args.predictions}:{lineno}: bad prediction row: {exc}"
-                    )
-        report = calibration.ece(conf, pred, lab, args.bins)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    conf, pred, lab = calibration.predictions_from_csv(args.predictions)
+    report = calibration.ece(conf, pred, lab, args.bins)
     if args.out:
         text = calibration.report_to_json(report) + "\n"
         _atomic_write(args.out, lambda p: Path(p).write_text(text))
@@ -320,12 +267,7 @@ def cmd_ece(args) -> int:
 
 
 def cmd_etf_metrics(args) -> int:
-    try:
-        w = read_classifier_csv(args.classifier)
-        metrics = etf_deviation_metrics(w)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    metrics = etf_deviation_metrics(read_classifier_csv(args.classifier))
     print(f"{metrics.norm_cv:.12g} {metrics.cosine_std:.12g}")
     return 0
 
@@ -334,23 +276,19 @@ def cmd_etf_metrics(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    try:
-        model, inputs, labels = _read_model_and_dataset(args)
-        classes = tuple(_parse_list(args.classes, int))
-        if len(classes) != 3:
-            raise ValueError(f"--classes needs exactly 3 ids, got {args.classes!r}")
-        for c in classes:
-            if not 0 <= c < model.num_classes:
-                raise ValueError(
-                    f"--classes id {c} is not a class of the {model.num_classes}-class model"
-                )
-        batch = mix(inputs, labels, [args.i], [args.j], [args.lam], model.num_classes)
-        layers = trainer.layer_trajectory(model, batch.x[0])
-        op = projection.build_projection(model.clf_w[list(classes)], None, classes)
-        points = [projection.project_vector(op, h) for h in layers]
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model, inputs, labels = _read_model_and_dataset(args)
+    classes = tuple(_parse_list(args.classes, int))
+    if len(classes) != 3:
+        raise ValueError(f"--classes needs exactly 3 ids, got {args.classes!r}")
+    for c in classes:
+        if not 0 <= c < model.num_classes:
+            raise ValueError(
+                f"--classes id {c} is not a class of the {model.num_classes}-class model"
+            )
+    batch = mix(inputs, labels, [args.i], [args.j], [args.lam], model.num_classes)
+    layers = trainer.layer_trajectory(model, batch.x[0])
+    op = projection.build_projection(model.clf_w[list(classes)], None, classes)
+    points = [projection.project_vector(op, h) for h in layers]
     lines = ["layer,px,py"]
     for depth, p in enumerate(points):
         lines.append(f"{depth},{float(p[0])!r},{float(p[1])!r}")
@@ -461,8 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A bad input or a failed solve prints one
+    'error: <message>' line and returns 1; bad flags return 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, KernelSolveError, trainer.TrainingDivergedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

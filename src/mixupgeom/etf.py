@@ -92,37 +92,60 @@ def etf_deviation_metrics(w: np.ndarray) -> EtfMetrics:
     )
 
 
-def write_classifier_csv(path, w: np.ndarray) -> None:
-    """One row per class, comma-separated shortest round-trip decimals."""
-    w = np.asarray(w, dtype=float)
-    lines = [",".join(repr(float(v)) for v in row) for row in w]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+# The row reader of every CSV the package reads. It lives here because
+# every module that reads a file already imports this one.
+
+
+def _bad_row(source, lineno: int, what: str, reason) -> ValueError:
+    return ValueError(f"{source}:{lineno}: bad {what} row: {reason}")
+
+
+def _bad_header(source, what: str, expected: str) -> ValueError:
+    return ValueError(f"{source}:1: expected {what} header {expected!r}")
+
+
+def _parse_rows(lines, source, what: str, parse, start: int = 1) -> list:
+    """[parse(line) for every non-blank line of lines], stripped and
+    numbered from start. A ValueError from parse is raised again as
+    'source:line: bad <what> row: <reason>'."""
+    out = []
+    for lineno, line in enumerate(lines, start):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(parse(line))
+        except ValueError as exc:
+            raise _bad_row(source, lineno, what, exc) from None
+    return out
+
+
+def _finite_floats(parts) -> list:
+    """parts as floats; a value that does not parse or is not finite
+    raises ValueError."""
+    row = [float(v) for v in parts]
+    for v in row:
+        if not math.isfinite(v):
+            raise ValueError(f"value {v} is not finite")
+    return row
 
 
 def read_classifier_csv(path) -> np.ndarray:
-    """One row per non-blank line. A row that does not parse, holds a
-    value that is not finite or is wider or narrower than the first
-    raises ValueError naming path:line."""
-    rows = []
+    """One row per non-blank line, no header. A row that does not parse,
+    holds a value that is not finite or is wider or narrower than the
+    first raises ValueError naming path:line."""
+    width = None
+
+    def parse(line):
+        nonlocal width
+        row = _finite_floats(line.split(","))
+        width = width or len(row)
+        if len(row) != width:
+            raise ValueError(f"{len(row)} values, the first row has {width}")
+        return row
+
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-                for v in row:
-                    if not math.isfinite(v):
-                        raise ValueError(f"value {v} is not finite")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad classifier row: {exc}")
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: ragged classifier rows: "
-                    f"{len(row)} values, the first row has {len(rows[0])}"
-                )
-            rows.append(row)
+        rows = _parse_rows(fh, path, "classifier", parse)
     if not rows:
         raise ValueError(f"{path}: empty classifier file")
     return np.array(rows)

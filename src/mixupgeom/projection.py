@@ -145,29 +145,3 @@ def points_to_csv(points) -> str:
             f"{int(p.amplified)},{p.px!r},{p.py!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def points_from_csv(text: str) -> list[ProjectedPoint]:
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != POINTS_HEADER:
-        raise ValueError(f"line 1: expected header '{POINTS_HEADER}'")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-        try:
-            out.append(
-                ProjectedPoint(
-                    class_i=int(parts[0]),
-                    class_ip=int(parts[1]),
-                    lam=float(parts[2]),
-                    kind=parts[3],
-                    amplified=bool(int(parts[4])),
-                    px=float(parts[5]),
-                    py=float(parts[6]),
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad point row: {exc}")
-    return out

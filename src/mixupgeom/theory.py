@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .etf import SimplexEtf
+from .etf import SimplexEtf, _bad_header, _bad_row
 from .mixup import DIFFERENT_CLASS, SAME_CLASS
 
 
@@ -486,7 +486,7 @@ def features_from_csv(path) -> list[FeatureRecord]:
     with open(path, "rb") as fh:
         header = fh.readline().decode().strip().split(",")
         if header[:5] != CSV_FRONT:
-            raise ValueError(f"{path}:1: unexpected feature CSV header")
+            raise _bad_header(path, "feature", ",".join(CSV_FRONT) + ",h_0,...")
         d = len(header) - 5
         start = fh.tell()
         size = os.fstat(fh.fileno()).st_size
@@ -502,7 +502,7 @@ def features_from_csv(path) -> list[FeatureRecord]:
     records, line = [], 1
     for fronts, h, lines, bad in _fork_map(lambda b: _read_rows(path, *b, d), blocks):
         if bad is not None:
-            raise ValueError(f"{path}:{line + bad[0]}: bad feature row: {bad[1]}")
+            raise _bad_row(path, line + bad[0], "feature", bad[1])
         records += [
             FeatureRecord(i, ip, lam, row, kind, amplified)
             for (i, ip, lam, kind, amplified), row in zip(fronts, h)

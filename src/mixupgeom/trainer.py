@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .etf import EtfMetrics, build_simplex_etf, etf_deviation_metrics
+from .etf import (
+    EtfMetrics,
+    _bad_header,
+    _finite_floats,
+    _parse_rows,
+    build_simplex_etf,
+    etf_deviation_metrics,
+)
 from .mixup import BetaSpec, MixupBatch, make_mixup_batch
 from .theory import FeatureRecord
 from .ufm import _log_softmax
@@ -483,26 +490,22 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dataset_from_csv(text: str):
-    """Parse dataset_to_csv output into (inputs, labels). A row whose
-    width differs from the header's raises ValueError naming its line."""
-    lines = text.strip().split("\n")
-    if not lines or not lines[0].startswith("label,"):
-        raise ValueError("line 1: expected dataset header 'label,x_0,...'")
+def dataset_from_csv(text: str, source: str = "<string>"):
+    """Parse dataset_to_csv output into (inputs, labels). A row that does
+    not parse, holds an input that is not finite or whose width differs
+    from the header's raises ValueError naming source:line."""
+    lines = text.split("\n")
+    if not lines[0].startswith("label,"):
+        raise _bad_header(source, "dataset", "label,x_0,...")
     width = lines[0].count(",")
-    xs = []
-    ys = []
-    for lineno, line in enumerate(lines[1:], start=2):
+
+    def parse(line):
         parts = line.split(",")
         if len(parts) - 1 != width:
-            raise ValueError(
-                f"line {lineno}: {len(parts) - 1} input values, the header has {width}"
-            )
-        try:
-            ys.append(int(parts[0]))
-            xs.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad dataset row: {exc}")
-    if not xs:
-        raise ValueError("empty dataset file")
-    return np.array(xs), np.array(ys, dtype=int)
+            raise ValueError(f"{len(parts) - 1} input values, the header has {width}")
+        return int(parts[0]), _finite_floats(parts[1:])
+
+    rows = _parse_rows(lines[1:], source, "dataset", parse, start=2)
+    if not rows:
+        raise ValueError(f"{source}: empty dataset file")
+    return np.array([x for _, x in rows]), np.array([y for y, _ in rows], dtype=int)

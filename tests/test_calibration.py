@@ -4,8 +4,6 @@ import pytest
 from mixupgeom.calibration import (
     ece,
     model_confidences,
-    report_from_json,
-    report_to_json,
 )
 from mixupgeom.trainer import EpochStats, TrainConfig, TrainedModel
 
@@ -108,11 +106,3 @@ def test_model_confidences_zero_logits():
     assert np.allclose(conf, 0.25, atol=1e-12)
     assert np.all(pred == 0)  # lowest-index tie break
     assert np.all((conf >= 1.0 / 4) & (conf <= 1.0))
-
-
-def test_report_json_round_trip():
-    report = ece([0.9, 0.8, 0.6, 0.55], [0, 0, 0, 0], [0, 0, 1, 0], num_bins=2)
-    loaded = report_from_json(report_to_json(report))
-    assert loaded.ece == report.ece
-    assert np.array_equal(loaded.counts, report.counts)
-    assert np.allclose(loaded.bin_edges, report.bin_edges)

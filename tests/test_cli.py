@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from mixupgeom.cli import main, parse_config
-from mixupgeom.etf import build_simplex_etf, write_classifier_csv
+from mixupgeom.etf import build_simplex_etf
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _write_rows(path, rows):
+    """A classifier CSV: one line of shortest round-trip floats per row."""
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
 
 
 def test_theory_solve_prints_six_decimal_loss(tmp_path, capsys):
@@ -60,6 +65,39 @@ def test_outputs_get_the_mode_the_umask_allows(tmp_path, capsys):
     assert code == 0
     for path in (out, tmp_path / "features.csv.summary.json"):
         assert path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize(
+    "flag", ["theory-solve --out", "theory-solve --summary-out", "train --out",
+             "train --dataset-out", "extract --out"],
+)
+def test_an_output_in_a_missing_directory_is_one_error_line(tmp_path, capsys, flag):
+    command, option = flag.split()
+    target = f"{tmp_path}/missing/x.csv"
+    if command == "theory-solve":
+        argv = ["theory-solve", "--samples", "3", option, target]
+    elif command == "train":
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dataset.samples_per_class = 5\ntrain.epochs = 1\n")
+        outs = {"--out": str(tmp_path / "m.json"), "--dataset-out": str(tmp_path / "d.csv")}
+        outs[option] = target
+        argv = ["train", "--config", str(cfg), *(v for item in outs.items() for v in item)]
+    else:
+        model, data = _trained(tmp_path, capsys)
+        argv = ["extract", "--model", str(model), "--dataset", str(data), "--out", target]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_an_output_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, stdout, stderr = run(["theory-solve", "--samples", "3", "--out", str(target)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: cannot write {target}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_theory_solve_writes_summary_without_features(tmp_path, capsys):
@@ -169,7 +207,7 @@ def test_train_extract_project_pipeline(tmp_path, capsys):
 
     clf = tmp_path / "clf.csv"
     frame = build_simplex_etf(3, 16, 1.0, seed=0)
-    write_classifier_csv(clf, frame.rows)
+    _write_rows(clf, frame.rows)
     points = tmp_path / "points.csv"
     code, _, _ = run(
         ["project", "--features", str(acts), "--classifier", str(clf),
@@ -301,7 +339,7 @@ def test_extract_names_the_line_of_a_ragged_dataset_row(tmp_path, capsys):
     data.write_text("\n".join(lines))
     code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
     assert code == 1
-    assert stderr == "error: line 5: 1 input values, the header has 2\n"
+    assert stderr == f"error: {data}:5: bad dataset row: 1 input values, the header has 2\n"
 
 
 def test_project_names_the_line_of_a_malformed_feature_row(tmp_path, capsys):
@@ -311,7 +349,7 @@ def test_project_names_the_line_of_a_malformed_feature_row(tmp_path, capsys):
     )
     assert code == 0
     clf = tmp_path / "clf.csv"
-    write_classifier_csv(clf, build_simplex_etf(10, 12, 3.0, seed=0).rows[:3])
+    _write_rows(clf, build_simplex_etf(10, 12, 3.0, seed=0).rows[:3])
     lines = feats.read_text().split("\n")
     lines[3] = ",".join(lines[3].split(",")[:-3])
     feats.write_text("\n".join(lines))
@@ -388,6 +426,10 @@ def test_ece_bad_file(tmp_path, capsys):
         ("inf,0,1", "confidence 'inf' is not finite"),
         ("0.8,2,2,7", "4 fields, expected 3"),
         ("0.8,2", "2 fields, expected 3"),
+        ("1.5,0,1", "confidence '1.5' is outside [0, 1]"),
+        ("-0.1,0,1", "confidence '-0.1' is outside [0, 1]"),
+        ("0.5,1,-4", "class ids must not be negative, got 1 and -4"),
+        ("0.5,-1,0", "class ids must not be negative, got -1 and 0"),
     ],
 )
 def test_ece_names_the_line_of_a_malformed_row(tmp_path, capsys, row, message):
@@ -398,9 +440,84 @@ def test_ece_names_the_line_of_a_malformed_row(tmp_path, capsys, row, message):
     assert stderr == f"error: {preds}:3: bad prediction row: {message}\n"
 
 
+def _bad_feature_row(tmp_path, capsys):
+    feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
+    feats.write_text(
+        "class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n"
+        "0,1,0.5,different_class,0,1.0,2.0,3.0\n\n0,1,0.5,mixed,0,1.0,2.0,3.0\n"
+    )
+    _write_rows(clf, np.eye(3))
+    argv = ["project", "--features", str(feats), "--classifier", str(clf),
+            "--out", str(tmp_path / "p.csv")]
+    return argv, f"{feats}:4: bad feature row: unknown kind 'mixed'"
+
+
+def _bad_dataset_row(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    lines = data.read_text().split("\n")
+    label, _, x_1 = lines[3].split(",")
+    lines[3] = f"{label},nan,{x_1}"
+    data.write_text("\n".join(lines))
+    argv = ["extract", "--model", str(model), "--dataset", str(data), "--count", "200",
+            "--out", str(tmp_path / "acts.csv")]
+    return argv, f"{data}:4: bad dataset row: value nan is not finite"
+
+
+def _bad_classifier_row(tmp_path, capsys):
+    clf = tmp_path / "clf.csv"
+    clf.write_text("1.0,0.0\n0.0,1.0\n\n1.0\n")
+    return ["etf-metrics", "--classifier", str(clf)], (
+        f"{clf}:4: bad classifier row: 1 values, the first row has 2"
+    )
+
+
+def _bad_prediction_row(tmp_path, capsys):
+    preds = tmp_path / "preds.csv"
+    preds.write_text("confidence,predicted,label\n0.9,0,0\n1.5,1,1\n")
+    return ["ece", "--predictions", str(preds), "--out", str(tmp_path / "ece.json")], (
+        f"{preds}:3: bad prediction row: confidence '1.5' is outside [0, 1]"
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_bad_feature_row, _bad_dataset_row, _bad_classifier_row, _bad_prediction_row],
+    ids=["features", "dataset", "classifier", "predictions"],
+)
+def test_every_reader_names_the_path_and_line_of_a_bad_row(tmp_path, capsys, case):
+    argv, message = case(tmp_path, capsys)
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize(
+    "what, header, expected",
+    [
+        ("feature", "class_i,class_ip,lambda,h_0", "class_i,class_ip,lambda,kind,amplified,h_0,..."),
+        ("dataset", "x_0,x_1", "label,x_0,..."),
+        ("prediction", "confidence,label,predicted", "confidence,predicted,label"),
+    ],
+)
+def test_every_reader_names_line_1_of_a_wrong_header(tmp_path, capsys, what, header, expected):
+    path, clf, out = tmp_path / "input.csv", tmp_path / "clf.csv", str(tmp_path / "out")
+    if what == "feature":
+        _write_rows(clf, np.eye(3))
+        argv = ["project", "--features", str(path), "--classifier", str(clf), "--out", out]
+    elif what == "dataset":
+        model, path = _trained(tmp_path, capsys)
+        argv = ["extract", "--model", str(model), "--dataset", str(path), "--out", out]
+    else:
+        argv = ["ece", "--predictions", str(path)]
+    path.write_text(f"{header}\n0,1\n")
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {path}:1: expected {what} header '{expected}'\n"
+
+
 def test_etf_metrics_on_exact_frame(tmp_path, capsys):
     clf = tmp_path / "clf.csv"
-    write_classifier_csv(clf, build_simplex_etf(4, 7, 2.0, seed=0).rows)
+    _write_rows(clf, build_simplex_etf(4, 7, 2.0, seed=0).rows)
     code, stdout, _ = run(["etf-metrics", "--classifier", str(clf)], capsys)
     assert code == 0
     cv, cs = (float(v) for v in stdout.split())

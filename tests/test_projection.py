@@ -5,17 +5,10 @@ from mixupgeom.etf import build_simplex_etf
 from mixupgeom.projection import (
     TRIANGLE,
     build_projection,
-    points_from_csv,
-    points_to_csv,
     project,
     project_vector,
 )
-from mixupgeom.theory import (
-    TheoryParams,
-    assemble_feature,
-    generate_configuration,
-    solve_different_class,
-)
+from mixupgeom.theory import TheoryParams, generate_configuration
 
 
 def test_triangle_columns_unit_and_zero_sum():
@@ -114,21 +107,3 @@ def test_projected_points_follow_the_span_structure():
             coef, *_ = np.linalg.lstsq(basis.T, rec.h, rcond=None)
             expected = coef[0] * verts[rec.class_i] + coef[1] * verts[rec.class_ip]
             assert np.linalg.norm(p - expected) < 1e-6
-
-
-def test_points_csv_round_trip():
-    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3, d=4)
-    frame = build_simplex_etf(3, 4, 1.0, seed=0)
-    rec = assemble_feature(solve_different_class(params, 0.4), frame, 0, 2)
-    op = build_projection(frame.rows)
-    points = project(op, [rec])
-    text = points_to_csv(points)
-    loaded = points_from_csv(text)
-    assert len(loaded) == 1
-    assert loaded[0].px == points[0].px and loaded[0].py == points[0].py
-    assert loaded[0].kind == "different_class"
-
-
-def test_points_csv_header_error():
-    with pytest.raises(ValueError, match="line 1"):
-        points_from_csv("wrong,header\n")

@@ -290,14 +290,21 @@ def test_dataset_csv_round_trip():
 
 
 def test_dataset_csv_errors():
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="^<string>:1: expected dataset header 'label,x_0,...'$"):
         dataset_from_csv("x_0,label\n")
-    with pytest.raises(ValueError, match="line 2"):
-        dataset_from_csv("label,x_0\nnope,1.0\n")
+    with pytest.raises(ValueError, match="^data.csv:2: bad dataset row: invalid literal"):
+        dataset_from_csv("label,x_0\nnope,1.0\n", "data.csv")
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"^data.csv:4: bad dataset row: value {value} is not"):
+            dataset_from_csv(f"label,x_0\n0,1.0\n\n1,{value}\n", "data.csv")
+    with pytest.raises(ValueError, match="^data.csv: empty dataset file$"):
+        dataset_from_csv("label,x_0\n\n", "data.csv")
 
 
 def test_dataset_csv_names_the_line_of_a_row_of_the_wrong_width():
     for row, count in (("1,0.5", 1), ("1,0.5,0.5,0.5", 3)):
         text = f"label,x_0,x_1\n0,1.0,2.0\n{row}\n2,3.0,4.0\n"
-        with pytest.raises(ValueError, match=f"^line 3: {count} input values, the header has 2$"):
-            dataset_from_csv(text)
+        with pytest.raises(
+            ValueError, match=f"^data.csv:3: bad dataset row: {count} input values, the header has 2$"
+        ):
+            dataset_from_csv(text, "data.csv")
