@@ -34,7 +34,6 @@ from .theory import (
 )
 from .ufm import (
     ConvergenceError,
-    MinimizeOptions,
     ObjectiveReport,
     UfmConfig,
     minimize_per_sample,
@@ -51,7 +50,6 @@ __all__ = [
     "DifferentClassSolution",
     "EtfMetrics",
     "FeatureRecord",
-    "MinimizeOptions",
     "MixupBatch",
     "ObjectiveReport",
     "SAME_CLASS",

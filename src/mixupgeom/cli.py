@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration, projection, theory, trainer, ufm
 from .etf import build_simplex_etf, etf_deviation_metrics, read_classifier_csv
-from .kernels import KernelSolveError, same_class_equation
+from .kernels import KernelSolveError
 from .mixup import BetaSpec, make_mixup_batch, mix, sample_lambdas
 from .theory import TheoryParams
 
@@ -127,12 +127,11 @@ def cmd_oracle_check(args) -> int:
                 f"{C:>4} {m:>6.2f} {lh:>10.1e} {lam:>8.3f} "
                 f"{resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
             )
-        same_resid = abs(same_class_equation(same.k, C, m * m, lh))
-        ok = same_resid <= args.tol_same
+        ok = same.residual <= args.tol_same
         failed = failed or not ok
         print(
             f"{C:>4} {m:>6.2f} {lh:>10.1e} {'same':>8} "
-            f"{same_resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
+            f"{same.residual:>12.3e} {'ok' if ok else 'FAIL':>8}"
         )
     if failed:
         print(f"worst residual {worst:.3e} exceeds tolerance", file=sys.stderr)
@@ -206,11 +205,13 @@ def cmd_train(args) -> int:
 
 def _read_model_and_dataset(args):
     """The model and the (inputs, labels) of the dataset named by args; a
-    dataset whose width is not the model's input_dim raises ValueError."""
+    label that is not a class of the model or a dataset whose width is
+    not the model's input_dim raises ValueError."""
     with open(args.model) as fh:
         model = trainer.model_from_json(fh.read())
     with open(args.dataset) as fh:
-        inputs, labels = trainer.dataset_from_csv(fh.read(), args.dataset)
+        text = fh.read()
+    inputs, labels = trainer.dataset_from_csv(text, args.dataset, model.num_classes)
     if inputs.shape[1] != model.input_dim:
         raise ValueError(
             f"{args.dataset}: dataset rows have {inputs.shape[1]} inputs, "
@@ -239,12 +240,17 @@ def cmd_project(args) -> int:
     w = read_classifier_csv(args.classifier)
     if w.shape[0] != 3:
         raise ValueError(f"projection needs a 3-row classifier, got {w.shape[0]}")
+    if records and len(records[0].h) != w.shape[1]:
+        raise ValueError(
+            f"{args.features} holds features of width {len(records[0].h)}, "
+            f"{args.classifier} holds classifier rows of width {w.shape[1]}"
+        )
     center = None
     if args.center_mean:
         center = np.mean([r.h for r in records], axis=0)
     op = projection.build_projection(w, center)
     points = projection.project(op, records)
-    text = projection.points_to_csv(points)
+    text = projection.points_to_csv(records, points)
     _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote {len(points)} projected points")
     return 0
@@ -287,7 +293,7 @@ def cmd_trajectory(args) -> int:
             )
     batch = mix(inputs, labels, [args.i], [args.j], [args.lam], model.num_classes)
     layers = trainer.layer_trajectory(model, batch.x[0])
-    op = projection.build_projection(model.clf_w[list(classes)], None, classes)
+    op = projection.build_projection(model.clf_w[list(classes)])
     points = [projection.project_vector(op, h) for h in layers]
     lines = ["layer,px,py"]
     for depth, p in enumerate(points):

@@ -18,7 +18,6 @@ class SimplexEtf:
     """Classifier geometry: rows W = m*sqrt(C/(C-1))*(I - 11^T/C) U^T."""
 
     num_classes: int
-    feature_dim: int
     multiplier: float
     basis: np.ndarray  # d x C, orthonormal columns
     rows: np.ndarray  # C x d
@@ -70,9 +69,7 @@ def build_simplex_etf(C: int, d: int, m: float, seed: int) -> SimplexEtf:
     scale = m * np.sqrt(C / (C - 1.0))
     centering = np.eye(C) - np.ones((C, C)) / C
     rows = scale * centering @ u.T
-    return SimplexEtf(
-        num_classes=C, feature_dim=d, multiplier=float(m), basis=u, rows=rows
-    )
+    return SimplexEtf(num_classes=C, multiplier=float(m), basis=u, rows=rows)
 
 
 def etf_deviation_metrics(w: np.ndarray) -> EtfMetrics:

@@ -3,9 +3,10 @@
 For a chosen 3-class subset, the row-normalized classifier is reduced to
 its orthogonal polar factor Q (a semi-orthogonal 3 x d map onto the
 classifier frame), and the three resulting coordinates are rendered
-through a fixed triangle: the 2 x 3 vertex matrix A has unit columns
-summing to zero, so the constant direction -- which the rank-2 classifier
-cannot pin down -- is annihilated and the view is well defined.
+through a fixed triangle: the 2 x 3 vertex matrix TRIANGLE has unit
+columns summing to zero, so the constant direction -- which the rank-2
+classifier cannot pin down -- is annihilated and the view is well
+defined.
 """
 
 from __future__ import annotations
@@ -25,23 +26,10 @@ TRIANGLE = np.array(
 
 @dataclass(frozen=True)
 class ProjectionOperator:
-    """Affine map h -> A Q (h - center) from feature space to the plane."""
+    """Affine map h -> TRIANGLE Q (h - center) from feature space to the plane."""
 
-    classes: tuple[int, int, int]
     Q: np.ndarray  # 3 x d, semi-orthogonal
-    A: np.ndarray  # 2 x 3 triangle vertices
     center: np.ndarray  # d-vector
-
-
-@dataclass
-class ProjectedPoint:
-    class_i: int
-    class_ip: int
-    lam: float
-    kind: str
-    amplified: bool
-    px: float
-    py: float
 
 
 def _orthonormal_completion(vt: np.ndarray, k: int) -> np.ndarray:
@@ -62,17 +50,17 @@ def _orthonormal_completion(vt: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_projection(
-    w_rows: np.ndarray,
-    activation_mean: np.ndarray | None = None,
-    classes: tuple[int, int, int] = (0, 1, 2),
+    w_rows: np.ndarray, activation_mean: np.ndarray | None = None
 ) -> ProjectionOperator:
     """Build the planar view operator from three classifier rows.
 
     Rows are normalized to unit length, then Q = U V^T from their SVD
-    (the orthogonal polar factor). Signs are fixed per singular pair so
-    the largest-magnitude entry of each left vector is positive; a zero
-    singular value (exact rank-2 input) gets its right vector rebuilt by
-    Gram-Schmidt, which the A 1 = 0 identity renders inconsequential.
+    (the orthogonal polar factor). A zero singular value (exact rank-2
+    input) gets its right vector rebuilt by Gram-Schmidt and its left
+    vector signed so that its largest-magnitude entry is positive; the
+    TRIANGLE 1 = 0 identity renders that pair inconsequential. A regular
+    pair needs no sign fix: flipping its u and vt together leaves Q
+    unchanged bit for bit.
     """
     w = np.asarray(w_rows, dtype=float)
     if w.ndim != 2 or w.shape[0] != 3:
@@ -89,10 +77,8 @@ def build_projection(
     for k in range(3):
         if s[k] < 1e-12 * s[0]:
             vt[k] = _orthonormal_completion(vt, k)
-        if u[np.argmax(np.abs(u[:, k])), k] < 0.0:
-            u[:, k] = -u[:, k]
-            if s[k] >= 1e-12 * s[0]:
-                vt[k] = -vt[k]
+            if u[np.argmax(np.abs(u[:, k])), k] < 0.0:
+                u[:, k] = -u[:, k]
     q = u @ vt
     center = (
         np.zeros(w.shape[1])
@@ -103,45 +89,35 @@ def build_projection(
         raise ValueError(
             f"activation mean has shape {center.shape}, expected ({w.shape[1]},)"
         )
-    return ProjectionOperator(
-        classes=tuple(int(c) for c in classes), Q=q, A=TRIANGLE.copy(), center=center
-    )
+    return ProjectionOperator(Q=q, center=center)
 
 
 def project_vector(op: ProjectionOperator, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != op.center.shape:
         raise ValueError(f"feature has shape {h.shape}, expected {op.center.shape}")
-    return op.A @ (op.Q @ (h - op.center))
+    return TRIANGLE @ (op.Q @ (h - op.center))
 
 
-def project(op: ProjectionOperator, features) -> list[ProjectedPoint]:
-    """Map feature records to the plane, preserving order and metadata."""
-    out = []
-    for rec in features:
-        p = project_vector(op, rec.h)
-        out.append(
-            ProjectedPoint(
-                class_i=rec.class_i,
-                class_ip=rec.class_ip,
-                lam=rec.lam,
-                kind=rec.kind,
-                amplified=rec.amplified,
-                px=float(p[0]),
-                py=float(p[1]),
-            )
-        )
-    return out
+def project(op: ProjectionOperator, features) -> np.ndarray:
+    """n x 2 array whose row k is project_vector(op, features[k].h). Each
+    row gets its own product: stacking the records would copy their
+    feature matrix and round some points differently."""
+    points = np.empty((len(features), 2))
+    for k, rec in enumerate(features):
+        points[k] = project_vector(op, rec.h)
+    return points
 
 
 POINTS_HEADER = "class_i,class_ip,lambda,kind,amplified,px,py"
 
 
-def points_to_csv(points) -> str:
+def points_to_csv(features, points: np.ndarray) -> str:
+    """The points CSV: each record's tags followed by its projected point."""
     lines = [POINTS_HEADER]
-    for p in points:
+    for rec, (px, py) in zip(features, points.tolist()):
         lines.append(
-            f"{p.class_i},{p.class_ip},{p.lam!r},{p.kind},"
-            f"{int(p.amplified)},{p.px!r},{p.py!r}"
+            f"{rec.class_i},{rec.class_ip},{rec.lam!r},{rec.kind},"
+            f"{int(rec.amplified)},{px!r},{py!r}"
         )
     return "\n".join(lines) + "\n"

@@ -28,6 +28,13 @@ from .mixup import DIFFERENT_CLASS, SAME_CLASS
 
 @dataclass(frozen=True)
 class TheoryParams:
+    """One parameter cell of the closed form. The domain: C >= 2 classes
+    (tested up to 1000); a multiplier m that is finite and nonzero with
+    a positive finite square (tested from 0.05 to 100); lambda_h positive
+    and finite (tested from 1e-10 to 10); a feature dimension d >= C.
+    The mixing coefficients the solves take must lie in [0, 1]. A value
+    outside the domain raises ValueError naming it."""
+
     C: int
     m: float
     lambda_h: float

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -272,10 +272,13 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
         clf_w = _init_matrix(rng, num_classes, cfg.width)
         clf_b = np.zeros(num_classes)
 
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
-    vel_cw = np.zeros_like(clf_w)
-    vel_cb = np.zeros_like(clf_b)
+    # The parameters SGD moves, each with its velocity and whether it is
+    # a weight matrix (which decays) or a bias (which does not).
+    learned = cfg.classifier_mode == LEARNED
+    moved = [(p, True) for p in weights] + [(p, False) for p in biases]
+    if learned:
+        moved += [(clf_w, True), (clf_b, False)]
+    velocity = [np.zeros_like(p) for p, _ in moved]
 
     eye = np.eye(num_classes)
     spec = BetaSpec(cfg.mixup_alpha) if cfg.mixup_alpha > 0 else None
@@ -315,19 +318,15 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
             epoch_loss += loss
-            for layer in range(len(weights)):
-                g = dw[layer] + cfg.weight_decay * weights[layer]
-                vel_w[layer] = cfg.momentum * vel_w[layer] + g
-                weights[layer] -= cfg.learning_rate * vel_w[layer]
-                vel_b[layer] = cfg.momentum * vel_b[layer] + db[layer]
-                biases[layer] -= cfg.learning_rate * vel_b[layer]
-            if cfg.classifier_mode == LEARNED:
-                g = dcw + cfg.weight_decay * clf_w
-                vel_cw = cfg.momentum * vel_cw + g
-                clf_w -= cfg.learning_rate * vel_cw
-                vel_cb = cfg.momentum * vel_cb + dcb
-                clf_b -= cfg.learning_rate * vel_cb
-        model.clf_w, model.clf_b = clf_w, clf_b
+            grads = dw + db + ([dcw, dcb] if learned else [])
+            for (p, decays), v, g in zip(moved, velocity, grads):
+                # A weight gets its decay term even at weight_decay 0:
+                # adding 0.0 * p turns a -0.0 gradient entry into +0.0.
+                if decays:
+                    g = g + cfg.weight_decay * p
+                v *= cfg.momentum
+                v += g
+                p -= cfg.learning_rate * v
         history.append(
             EpochStats(
                 loss=epoch_loss / steps,
@@ -335,7 +334,6 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
                 classifier_metrics=etf_deviation_metrics(clf_w),
             )
         )
-    model.clf_w, model.clf_b = clf_w, clf_b
     return model
 
 
@@ -378,24 +376,9 @@ def layer_trajectory(model: TrainedModel, x: np.ndarray) -> list:
 
 
 def model_to_json(model: TrainedModel) -> str:
-    cfg = model.config
     return json.dumps(
         {
-            "config": {
-                "hidden_layers": cfg.hidden_layers,
-                "width": cfg.width,
-                "activation": cfg.activation,
-                "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size,
-                "learning_rate": cfg.learning_rate,
-                "momentum": cfg.momentum,
-                "weight_decay": cfg.weight_decay,
-                "mixup_alpha": cfg.mixup_alpha,
-                "loss_kind": cfg.loss_kind,
-                "classifier_mode": cfg.classifier_mode,
-                "etf_multiplier": cfg.etf_multiplier,
-                "seed": cfg.seed,
-            },
+            "config": asdict(model.config),
             "input_dim": model.input_dim,
             "num_classes": model.num_classes,
             "weights": [w.tolist() for w in model.weights],
@@ -490,10 +473,11 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dataset_from_csv(text: str, source: str = "<string>"):
+def dataset_from_csv(text: str, source: str = "<string>", num_classes: int | None = None):
     """Parse dataset_to_csv output into (inputs, labels). A row that does
-    not parse, holds an input that is not finite or whose width differs
-    from the header's raises ValueError naming source:line."""
+    not parse, holds an input that is not finite, whose width differs
+    from the header's or, given num_classes, whose label is not in
+    [0, num_classes) raises ValueError naming source:line."""
     lines = text.split("\n")
     if not lines[0].startswith("label,"):
         raise _bad_header(source, "dataset", "label,x_0,...")
@@ -503,7 +487,12 @@ def dataset_from_csv(text: str, source: str = "<string>"):
         parts = line.split(",")
         if len(parts) - 1 != width:
             raise ValueError(f"{len(parts) - 1} input values, the header has {width}")
-        return int(parts[0]), _finite_floats(parts[1:])
+        label = int(parts[0])
+        if num_classes is not None and not 0 <= label < num_classes:
+            raise ValueError(
+                f"label {label} is not a class of the {num_classes}-class model"
+            )
+        return label, _finite_floats(parts[1:])
 
     rows = _parse_rows(lines[1:], source, "dataset", parse, start=2)
     if not rows:

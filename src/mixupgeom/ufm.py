@@ -2,8 +2,7 @@
 
 Per-sample loss, analytic gradient, and an independent gradient-descent
 minimizer used as the oracle for the closed-form solver. The classifier
-is held fixed throughout; its decay term is reported separately and
-never enters the per-sample value.
+is held fixed throughout and carries no decay term.
 """
 
 from __future__ import annotations
@@ -16,33 +15,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class UfmConfig:
-    """Decay coefficients: lambda_h on features (must be positive),
-    lambda_w on the classifier (reporting only)."""
+    """Decay coefficient lambda_h on the features; must be positive."""
 
     lambda_h: float
-    lambda_w: float = 0.0
 
     def __post_init__(self):
         if not self.lambda_h > 0:
             raise ValueError(f"lambda_h must be positive, got {self.lambda_h}")
-        if self.lambda_w < 0:
-            raise ValueError(f"lambda_w must be nonnegative, got {self.lambda_w}")
-
-
-@dataclass(frozen=True)
-class MinimizeOptions:
-    step_init: float = 1.0
-    max_iter: int = 100_000
-    grad_tol: float = 1e-10
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    memory: int = 10  # nonmonotone acceptance window
 
 
 @dataclass(frozen=True)
 class ObjectiveReport:
     mean_per_sample: float
-    classifier_penalty: float
+
+
+# minimize_per_sample's line search: first trial step, iteration cap,
+# Armijo constant, backtracking factor and the nonmonotone window.
+STEP_INIT = 1.0
+MAX_ITER = 100_000
+ARMIJO = 1e-4
+SHRINK = 0.5
+MEMORY = 10
 
 
 class ConvergenceError(RuntimeError):
@@ -92,7 +85,7 @@ def minimize_per_sample(
     lam: float,
     cfg: UfmConfig,
     init=None,
-    opts: MinimizeOptions = MinimizeOptions(),
+    grad_tol: float = 1e-10,
 ) -> np.ndarray:
     """Gradient descent with backtracking on the per-sample loss.
 
@@ -107,21 +100,21 @@ def minimize_per_sample(
     """
     w = np.asarray(w, dtype=float)
     h = np.zeros(w.shape[1]) if init is None else np.asarray(init, dtype=float).copy()
-    step = opts.step_init
+    step = STEP_INIT
     loss = per_sample_loss(w, h, i, ip, lam, cfg)
     grad = per_sample_grad(w, h, i, ip, lam, cfg)
-    recent = deque([loss], maxlen=opts.memory)
-    for _ in range(opts.max_iter):
+    recent = deque([loss], maxlen=MEMORY)
+    for _ in range(MAX_ITER):
         gnorm2 = float(grad @ grad)
-        if np.sqrt(gnorm2) <= opts.grad_tol:
+        if np.sqrt(gnorm2) <= grad_tol:
             return h
         ref = max(recent)
         while True:
             trial = h - step * grad
             trial_loss = per_sample_loss(w, trial, i, ip, lam, cfg)
-            if trial_loss <= ref - opts.armijo * step * gnorm2:
+            if trial_loss <= ref - ARMIJO * step * gnorm2:
                 break
-            step *= opts.shrink
+            step *= SHRINK
             if step < 1e-300:
                 raise ConvergenceError(np.sqrt(gnorm2))
         new_grad = per_sample_grad(w, trial, i, ip, lam, cfg)
@@ -135,8 +128,7 @@ def minimize_per_sample(
 
 
 def total_objective(w, features, cfg: UfmConfig) -> ObjectiveReport:
-    """Mean per-sample value over feature records plus the separately
-    reported classifier penalty (lambda_w/2)*|W|_F^2.
+    """Mean per-sample value over feature records.
 
     Accepts any records carrying (h, class_i, class_ip, lam); the
     per-sample values come from one row-wise log-softmax over the n x d
@@ -157,7 +149,4 @@ def total_objective(w, features, cfg: UfmConfig) -> ObjectiveReport:
     n = np.arange(len(features))
     ce = -lam * logp[n, i] - (1.0 - lam) * logp[n, ip]
     values = ce + 0.5 * cfg.lambda_h * np.einsum("nd,nd->n", h, h)
-    penalty = 0.5 * cfg.lambda_w * float((w * w).sum())
-    return ObjectiveReport(
-        mean_per_sample=sum(values.tolist()) / len(features), classifier_penalty=penalty
-    )
+    return ObjectiveReport(mean_per_sample=sum(values.tolist()) / len(features))

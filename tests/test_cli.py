@@ -38,6 +38,12 @@ def test_theory_solve_rejects_zero_samples(capsys):
     assert "samples" in stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theory_solve_rejects_an_infinite_alpha(capsys):
+    code, stdout, stderr = run(["theory-solve", "--samples", "3", "--alpha", "inf"], capsys)
+    assert (code, stdout, stderr) == (1, "", "error: alpha must be positive and finite, got inf\n")
+
+
 def test_theory_solve_byte_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["theory-solve", "--samples", "20", "--out", str(a)], capsys)
@@ -271,8 +277,29 @@ def test_extract_rejects_a_label_outside_the_model_classes(tmp_path, capsys, lab
     lines[5] = label + lines[5][lines[5].index(",") :]
     data.write_text("\n".join(lines))
     code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
-    assert code == 1
-    assert stderr.startswith(f"error: dataset line 6: label {label} ")
+    assert (code, stderr) == (
+        1, f"error: {data}:6: bad dataset row: label {label} is not a class of the "
+        "3-class model\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["extract", "trajectory"])
+def test_a_bad_label_after_a_blank_line_is_named_by_its_own_line(tmp_path, capsys, command):
+    model, data = _trained(tmp_path, capsys)
+    lines = data.read_text().split("\n")
+    lines[5] = "-1" + lines[5][lines[5].index(",") :]
+    lines.insert(1, "")
+    data.write_text("\n".join(lines))
+    out = tmp_path / "out.csv"
+    argv = [command, "--model", str(model), "--dataset", str(data), "--out", str(out)]
+    if command == "trajectory":
+        argv += ["--i", "0", "--j", "1", "--lam", "0.5"]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout, stderr) == (
+        1, "", f"error: {data}:7: bad dataset row: label -1 is not a class of the "
+        "3-class model\n"
+    )
+    assert not out.exists()
 
 
 def test_extract_rejects_a_model_without_clf_b(tmp_path, capsys):
@@ -340,6 +367,27 @@ def test_extract_names_the_line_of_a_ragged_dataset_row(tmp_path, capsys):
     code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
     assert code == 1
     assert stderr == f"error: {data}:5: bad dataset row: 1 input values, the header has 2\n"
+
+
+@pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
+def test_project_names_both_files_when_the_widths_differ(tmp_path, capsys, center):
+    feats, clf, out = tmp_path / "features.csv", tmp_path / "clf.csv", tmp_path / "p.csv"
+    feats.write_text(
+        "class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2,h_3\n"
+        "0,1,0.5,different_class,0,1.0,2.0,3.0,4.0\n"
+    )
+    _write_rows(clf, np.eye(3))
+    code, stdout, stderr = run(
+        ["project", "--features", str(feats), "--classifier", str(clf), *center,
+         "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        f"error: {feats} holds features of width 4, {clf} holds classifier rows "
+        "of width 3\n"
+    )
+    assert not out.exists()
 
 
 def test_project_names_the_line_of_a_malformed_feature_row(tmp_path, capsys):

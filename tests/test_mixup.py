@@ -28,6 +28,8 @@ def test_beta_spec_rejects_nonpositive_alpha():
         BetaSpec(0.0)
     with pytest.raises(ValueError):
         BetaSpec(-1.0)
+    with pytest.raises(ValueError, match="alpha must be positive and finite, got inf"):
+        BetaSpec(float("inf"))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.4, 2.0, 0.05])

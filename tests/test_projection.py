@@ -93,8 +93,7 @@ def test_projected_points_follow_the_span_structure():
     op = build_projection(frame.rows[subset])
     points = project(op, records)
     verts = {c: project_vector(op, frame.rows[c]) for c in subset}
-    for rec, pt in zip(records, points):
-        p = np.array([pt.px, pt.py])
+    for rec, p in zip(records, points):
         if rec.kind == "same_class":
             v = verts[rec.class_i]
             cross = p[0] * v[1] - p[1] * v[0]

@@ -9,7 +9,6 @@ from mixupgeom.theory import (
     solve_different_class,
 )
 from mixupgeom.ufm import (
-    MinimizeOptions,
     UfmConfig,
     minimize_per_sample,
     per_sample_grad,
@@ -22,8 +21,6 @@ from mixupgeom.ufm import (
 def test_config_validation():
     with pytest.raises(ValueError):
         UfmConfig(lambda_h=0.0)
-    with pytest.raises(ValueError):
-        UfmConfig(lambda_h=1e-6, lambda_w=-1.0)
 
 
 def test_softmax_sums_to_one_and_survives_huge_logits():
@@ -96,14 +93,14 @@ def test_minimizer_matches_closed_form_and_is_init_independent():
 def test_minimizer_reaches_tolerance():
     w = build_simplex_etf(3, 3, 1.0, seed=1).rows
     cfg = UfmConfig(lambda_h=1e-2)
-    h = minimize_per_sample(w, 0, 1, 0.5, cfg, opts=MinimizeOptions(grad_tol=1e-11))
+    h = minimize_per_sample(w, 0, 1, 0.5, cfg, grad_tol=1e-11)
     grad = per_sample_grad(w, h, 0, 1, 0.5, cfg)
     assert np.linalg.norm(grad) <= 1e-11
 
 
-def test_total_objective_mean_and_penalty():
+def test_total_objective_mean():
     frame = build_simplex_etf(3, 4, 1.0, seed=0)
-    cfg = UfmConfig(lambda_h=1e-3, lambda_w=0.5)
+    cfg = UfmConfig(lambda_h=1e-3)
     params = TheoryParams(C=3, m=1.0, lambda_h=1e-3, d=4)
     sol = solve_different_class(params, 0.4)
     recs = [assemble_feature(sol, frame, 0, 1), assemble_feature(sol, frame, 1, 2)]
@@ -112,9 +109,6 @@ def test_total_objective_mean_and_penalty():
         [per_sample_loss(frame.rows, r.h, r.class_i, r.class_ip, r.lam, cfg) for r in recs]
     )
     assert report.mean_per_sample == pytest.approx(direct, abs=1e-15)
-    assert report.classifier_penalty == pytest.approx(
-        0.25 * float((frame.rows**2).sum()), abs=1e-12
-    )
     with pytest.raises(ValueError):
         total_objective(frame.rows, [], cfg)
 
