@@ -221,6 +221,9 @@ def _read_model_and_dataset(args):
 
 
 def cmd_extract(args) -> int:
+    if args.count < 1:
+        print("error: --count must be positive", file=sys.stderr)
+        return 2
     model, inputs, labels = _read_model_and_dataset(args)
     rng = np.random.default_rng(args.seed)
     batch = make_mixup_batch(
@@ -247,6 +250,8 @@ def cmd_project(args) -> int:
         )
     center = None
     if args.center_mean:
+        if not records:
+            raise ValueError(f"{args.features}: no feature rows to take a mean of")
         center = np.mean([r.h for r in records], axis=0)
     op = projection.build_projection(w, center)
     points = projection.project(op, records)

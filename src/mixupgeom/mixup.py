@@ -57,6 +57,36 @@ def sample_lambdas(spec: BetaSpec, n: int, rng: np.random.Generator) -> np.ndarr
     return g[:, 0] / (g[:, 0] + g[:, 1])
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise ValueError for the first label outside [0, num_classes),
+    naming its dataset line (row k is line k + 2, after the header)."""
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        row = bad[0]
+        raise ValueError(
+            f"dataset line {row + 2}: label {labels[row]} is not in [0, {num_classes})"
+        )
+
+
+def _draw(n: int, spec: BetaSpec, batch_size: int, rng: np.random.Generator):
+    """Source rows i and j and coefficients lam of batch_size samples of
+    an n-row dataset, drawn in that order."""
+    i = rng.integers(n, size=batch_size)
+    j = rng.integers(n, size=batch_size)
+    return i, j, sample_lambdas(spec, batch_size, rng)
+
+
+def _mix_rows(lam: np.ndarray, *sources) -> list:
+    """For each (table, a, b) source, the array whose row k is
+    lam[k] * table[a[k]] + (1 - lam[k]) * table[b[k]]; lam must lie in
+    [0, 1]. Rows are gathered one table at a time."""
+    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+    if bad.size:
+        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
+    w = lam[:, None]
+    return [w * table[a] + (1.0 - w) * table[b] for table, a, b in sources]
+
+
 def mix(inputs, labels, i, j, lam, num_classes: int) -> MixupBatch:
     """Mix dataset row i[k] with row j[k] by lam[k], for every k at once.
 
@@ -71,33 +101,17 @@ def mix(inputs, labels, i, j, lam, num_classes: int) -> MixupBatch:
     j = np.asarray(j, dtype=int)
     lam = np.asarray(lam, dtype=float)
     n = len(inputs)
-    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
-    if bad.size:
-        row = bad[0]
-        raise ValueError(
-            f"dataset line {row + 2}: label {labels[row]} is not in [0, {num_classes})"
-        )
+    _check_labels(labels, num_classes)
     for name, src in (("i", i), ("j", j)):
         bad = src[(src < 0) | (src >= n)]
         if bad.size:
             raise ValueError(
                 f"source index {name}={bad[0]} is not a row of the {n}-row dataset"
             )
-    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
-    if bad.size:
-        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
     eye = np.eye(num_classes)
     class_i, class_ip = labels[i], labels[j]
-    w = lam[:, None]
-    return MixupBatch(
-        x=w * inputs[i] + (1.0 - w) * inputs[j],
-        y=w * eye[class_i] + (1.0 - w) * eye[class_ip],
-        lam=lam,
-        class_i=class_i,
-        class_ip=class_ip,
-        src_i=i,
-        src_j=j,
-    )
+    x, y = _mix_rows(lam, (inputs, i, j), (eye, class_i, class_ip))
+    return MixupBatch(x, y, lam, class_i, class_ip, src_i=i, src_j=j)
 
 
 def make_mixup_batch(
@@ -113,7 +127,5 @@ def make_mixup_batch(
     n = len(inputs)
     if n == 0:
         raise ValueError("empty dataset")
-    i = rng.integers(n, size=batch_size)
-    j = rng.integers(n, size=batch_size)
-    lam = sample_lambdas(spec, batch_size, rng)
+    i, j, lam = _draw(n, spec, batch_size, rng)
     return mix(inputs, hard_labels, i, j, lam, num_classes)

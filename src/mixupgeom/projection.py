@@ -99,13 +99,26 @@ def project_vector(op: ProjectionOperator, h: np.ndarray) -> np.ndarray:
     return TRIANGLE @ (op.Q @ (h - op.center))
 
 
+# project stacks about this many feature floats (32 KB) at a time, so
+# that its memory stays flat however many records it projects.
+_BLOCK_FLOATS = 4096
+
+
 def project(op: ProjectionOperator, features) -> np.ndarray:
-    """n x 2 array whose row k is project_vector(op, features[k].h). Each
-    row gets its own product: stacking the records would copy their
-    feature matrix and round some points differently."""
+    """n x 2 array whose row k is project_vector(op, features[k].h), bit
+    for bit. The records are stacked in blocks of about _BLOCK_FLOATS
+    floats, and numpy runs the stacked products as one matrix-vector
+    product per row, as project_vector does."""
+    shape = op.center.shape
+    for rec in features:
+        if np.shape(rec.h) != shape:
+            raise ValueError(f"feature has shape {np.shape(rec.h)}, expected {shape}")
     points = np.empty((len(features), 2))
-    for k, rec in enumerate(features):
-        points[k] = project_vector(op, rec.h)
+    rows = max(1, _BLOCK_FLOATS // shape[0])
+    for lo in range(0, len(features), rows):
+        h = np.array([rec.h for rec in features[lo : lo + rows]], dtype=float)
+        h -= op.center
+        points[lo : lo + rows] = (TRIANGLE @ (op.Q @ h[:, :, None]))[:, :, 0]
     return points
 
 

@@ -22,7 +22,7 @@ from .etf import (
     build_simplex_etf,
     etf_deviation_metrics,
 )
-from .mixup import BetaSpec, MixupBatch, make_mixup_batch
+from .mixup import BetaSpec, MixupBatch, _check_labels, _draw, _mix_rows
 from .theory import FeatureRecord
 from .ufm import _log_softmax
 
@@ -181,37 +181,48 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0) if kind == RELU else np.tanh(z)
 
 
-def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == RELU:
-        return (z > 0.0).astype(float)
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at z, from its value a = _act(z, kind):
+    z > 0 exactly where max(z, 0) > 0, and tanh' = 1 - tanh^2."""
+    return a > 0.0 if kind == RELU else 1.0 - a * a
 
 
 def forward_pass(weights, biases, clf_w, clf_b, activation, x):
-    """(pre-activations, post-activations, logits) for a batch x."""
-    pre = []
+    """(post-activations of each hidden layer, logits) for a batch x."""
     post = []
     a = np.asarray(x, dtype=float)
     for w, b in zip(weights, biases):
-        z = a @ w.T + b
-        pre.append(z)
-        a = _act(z, activation)
+        a = _act(a @ w.T + b, activation)
         post.append(a)
-    logits = a @ clf_w.T + clf_b
-    return pre, post, logits
+    return post, a @ clf_w.T + clf_b
 
 
-def loss_and_grads(weights, biases, clf_w, clf_b, activation, x, targets, loss_kind):
+def _views(flat, weights, biases, clf_w, clf_b):
+    """(weights, biases, clf_w, clf_b) as views of flat, a vector that
+    holds clf_w and the weights, then the biases and clf_b (a new one
+    when flat is None)."""
+    arrays = [clf_w, *weights, *biases, clf_b]
+    ends = np.cumsum([a.size for a in arrays])
+    flat = np.empty(ends[-1]) if flat is None else flat
+    v = [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    return v[1 : len(weights) + 1], v[len(weights) + 1 : -1], v[0], v[-1]
+
+
+def loss_and_grads(
+    weights, biases, clf_w, clf_b, activation, x, targets, loss_kind, out=None
+):
     """Batch loss and gradients for every parameter, by backpropagation.
 
     CE losses score log-softmax of the logits against the (possibly
     soft) targets; the MSE loss scores the raw logits against the soft
     label vector. Decay terms are applied by the update rule, not here.
+    The gradients are written into out, arrays shaped as (weights,
+    biases, clf_w, clf_b), and returned; when out is None, into new
+    views of one vector laid out by _views.
     """
     x = np.asarray(x, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    pre, post, logits = forward_pass(weights, biases, clf_w, clf_b, activation, x)
+    post, logits = forward_pass(weights, biases, clf_w, clf_b, activation, x)
     n = len(x)
     if loss_kind in (CE_MIXUP, CE_BASELINE):
         logp = _log_softmax(logits)
@@ -221,16 +232,16 @@ def loss_and_grads(weights, biases, clf_w, clf_b, activation, x, targets, loss_k
         diff = logits - targets
         loss = float((diff * diff).sum() / n)
         dlogits = 2.0 * diff / n
-    d_clf_w = dlogits.T @ post[-1]
-    d_clf_b = dlogits.sum(axis=0)
-    d_weights = [None] * len(weights)
-    d_biases = [None] * len(weights)
+    grads = out or _views(None, weights, biases, clf_w, clf_b)
+    d_weights, d_biases, d_clf_w, d_clf_b = grads
+    np.matmul(dlogits.T, post[-1], out=d_clf_w)
+    dlogits.sum(axis=0, out=d_clf_b)
     delta = dlogits @ clf_w
     for layer in reversed(range(len(weights))):
-        delta = delta * _act_deriv(pre[layer], activation)
+        delta = delta * _act_deriv(post[layer], activation)
         below = post[layer - 1] if layer > 0 else x
-        d_weights[layer] = delta.T @ below
-        d_biases[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, below, out=d_weights[layer])
+        delta.sum(axis=0, out=d_biases[layer])
         if layer > 0:
             delta = delta @ weights[layer]
     return loss, d_weights, d_biases, d_clf_w, d_clf_b
@@ -266,21 +277,29 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
         fan_in = cfg.width
     if cfg.classifier_mode == FIXED_ETF:
         frame = build_simplex_etf(num_classes, cfg.width, cfg.etf_multiplier, cfg.seed)
-        clf_w = frame.rows.copy()
+        clf_w = frame.rows
         clf_b = np.zeros(num_classes)
     else:
         clf_w = _init_matrix(rng, num_classes, cfg.width)
         clf_b = np.zeros(num_classes)
 
-    # The parameters SGD moves, each with its velocity and whether it is
-    # a weight matrix (which decays) or a bias (which does not).
-    learned = cfg.classifier_mode == LEARNED
-    moved = [(p, True) for p in weights] + [(p, False) for p in biases]
-    if learned:
-        moved += [(clf_w, True), (clf_b, False)]
-    velocity = [np.zeros_like(p) for p, _ in moved]
+    # Every parameter, and its gradient, is a view of one vector laid out
+    # by _views. SGD moves one run of it, [lo, hi): the hidden layers,
+    # plus the classifier unless fixed_etf. The weight matrices in it,
+    # [lo, split), decay; the biases, [split, hi), do not.
+    params = np.concatenate([clf_w.ravel(), *map(np.ravel, weights), *biases, clf_b])
+    weights, biases, clf_w, clf_b = net = _views(params, weights, biases, clf_w, clf_b)
+    grad = np.empty_like(params)
+    grads = _views(grad, *net)
+    split = clf_w.size + sum(w.size for w in weights)
+    lo, hi = 0, len(params)
+    if cfg.classifier_mode == FIXED_ETF:
+        lo, hi = clf_w.size, hi - num_classes
+    p, p_w, g, g_w = params[lo:hi], params[lo:split], grad[lo:hi], grad[lo:split]
+    velocity = np.zeros_like(p)
 
-    eye = np.eye(num_classes)
+    _check_labels(labels, num_classes)
+    onehot = np.eye(num_classes)[labels]
     spec = BetaSpec(cfg.mixup_alpha) if cfg.mixup_alpha > 0 else None
     use_mixup = spec is not None and cfg.loss_kind != CE_BASELINE
     steps = max(1, math.ceil(n / cfg.batch_size))
@@ -302,31 +321,24 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
             order = rng.permutation(n)
         for step in range(steps):
             if use_mixup:
-                batch = make_mixup_batch(
-                    inputs, labels, spec, cfg.batch_size, rng, num_classes
-                )
-                xb, tb = batch.x, batch.y
+                i, j, lam = _draw(n, spec, cfg.batch_size, rng)
+                xb, tb = _mix_rows(lam, (inputs, i, j), (onehot, i, j))
             else:
                 idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
                 if len(idx) == 0:
                     continue
                 xb = inputs[idx]
-                tb = eye[labels[idx]]
-            loss, dw, db, dcw, dcb = loss_and_grads(
-                weights, biases, clf_w, clf_b, cfg.activation, xb, tb, cfg.loss_kind
-            )
+                tb = onehot[idx]
+            loss = loss_and_grads(*net, cfg.activation, xb, tb, cfg.loss_kind, out=grads)[0]
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
             epoch_loss += loss
-            grads = dw + db + ([dcw, dcb] if learned else [])
-            for (p, decays), v, g in zip(moved, velocity, grads):
-                # A weight gets its decay term even at weight_decay 0:
-                # adding 0.0 * p turns a -0.0 gradient entry into +0.0.
-                if decays:
-                    g = g + cfg.weight_decay * p
-                v *= cfg.momentum
-                v += g
-                p -= cfg.learning_rate * v
+            # A weight gets its decay term even at weight_decay 0: adding
+            # 0.0 * p turns a -0.0 gradient entry into +0.0.
+            g_w += cfg.weight_decay * p_w
+            velocity *= cfg.momentum
+            velocity += g
+            p -= cfg.learning_rate * velocity
         history.append(
             EpochStats(
                 loss=epoch_loss / steps,
@@ -344,7 +356,7 @@ def _forward(model: TrainedModel, x: np.ndarray):
 
 
 def predict_logits(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    return _forward(model, x)[2]
+    return _forward(model, x)[1]
 
 
 def predict_probs(model: TrainedModel, x: np.ndarray) -> np.ndarray:
@@ -359,7 +371,7 @@ def accuracy(model: TrainedModel, x: np.ndarray, labels: np.ndarray) -> float:
 def extract_activations(model: TrainedModel, batch: MixupBatch) -> list[FeatureRecord]:
     """Penultimate post-activation vector of each mixed sample, tagged
     with its source classes, lambda, and kind; order preserved."""
-    _, post, _ = _forward(model, batch.x)
+    post, _ = _forward(model, batch.x)
     tags = (batch.class_i.tolist(), batch.class_ip.tolist(), batch.lam.tolist())
     return [
         FeatureRecord(i, ip, lam, h, kind)
@@ -371,7 +383,7 @@ def layer_trajectory(model: TrainedModel, x: np.ndarray) -> list:
     """Post-activation hidden vector at every depth for one input x; all
     entries share the hidden width, so one projection operator serves
     the whole trajectory."""
-    _, post, _ = _forward(model, np.asarray(x, dtype=float)[None, :])
+    post, _ = _forward(model, np.asarray(x, dtype=float)[None, :])
     return [layer[0] for layer in post]
 
 

@@ -410,6 +410,38 @@ def test_project_names_the_line_of_a_malformed_feature_row(tmp_path, capsys):
     assert stderr == f"error: {feats}:4: bad feature row: 9 h values, the header has 12\n"
 
 
+def _project_rows_free_features(tmp_path, capsys, *flags):
+    """Run project on a feature CSV that has a header and no rows."""
+    feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
+    feats.write_text("class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n")
+    _write_rows(clf, np.eye(3))
+    argv = ["project", "--features", str(feats), "--classifier", str(clf)]
+    return feats, run([*argv, *flags, "--out", str(tmp_path / "p.csv")], capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_project_center_mean_of_a_file_without_rows_is_one_error_line(tmp_path, capsys):
+    feats, result = _project_rows_free_features(tmp_path, capsys, "--center-mean")
+    assert result == (1, "", f"error: {feats}: no feature rows to take a mean of\n")
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_project_of_a_file_without_rows_writes_the_header(tmp_path, capsys):
+    _, result = _project_rows_free_features(tmp_path, capsys)
+    assert result == (0, "wrote 0 projected points\n", "")
+    assert (tmp_path / "p.csv").read_text() == "class_i,class_ip,lambda,kind,amplified,px,py\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_extract_rejects_a_count_below_one(tmp_path, capsys, count):
+    model, data = _trained(tmp_path, capsys)
+    out = tmp_path / "acts.csv"
+    code, stdout, stderr = _extract(model, data, out, capsys, "--count", count)
+    assert (code, stdout, stderr) == (2, "", "error: --count must be positive\n")
+    assert not out.exists()
+
+
 def test_train_reads_every_dataset_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(

@@ -114,6 +114,8 @@ def test_mix_rows_are_convex_combinations(case):
     slack = 1e-12 * np.maximum(np.abs(xi), np.abs(xj)) + 1e-300
     assert np.all(b.x >= np.minimum(xi, xj) - slack)
     assert np.all(b.x <= np.maximum(xi, xj) + slack)
+    w = np.asarray(lam, dtype=float)[:, None]
+    assert np.array_equal(b.x, w * xi + (1.0 - w) * xj)
     for k, w in enumerate(lam):
         if w in (0.0, 1.0):
             assert np.array_equal(b.x[k], inputs[i[k]] if w == 1.0 else inputs[j[k]])

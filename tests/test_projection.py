@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mixupgeom import projection
 from mixupgeom.etf import build_simplex_etf
 from mixupgeom.projection import (
     TRIANGLE,
@@ -8,7 +11,7 @@ from mixupgeom.projection import (
     project,
     project_vector,
 )
-from mixupgeom.theory import TheoryParams, generate_configuration
+from mixupgeom.theory import FeatureRecord, TheoryParams, generate_configuration
 
 
 def test_triangle_columns_unit_and_zero_sum():
@@ -106,3 +109,44 @@ def test_projected_points_follow_the_span_structure():
             coef, *_ = np.linalg.lstsq(basis.T, rec.h, rcond=None)
             expected = coef[0] * verts[rec.class_i] + coef[1] * verts[rec.class_ip]
             assert np.linalg.norm(p - expected) < 1e-6
+
+
+def _random_records(rng, n, d):
+    """n records whose features span six orders of magnitude and both signs."""
+    scales = 10.0 ** rng.integers(-3, 3, size=n)
+    return [FeatureRecord(0, 1, 0.5, rng.normal(size=d) * s, "different_class") for s in scales]
+
+
+@pytest.mark.parametrize("d", [7, 16, 100, 1000])
+def test_stacked_projection_is_per_row_project_vector_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    op = build_projection(rng.normal(size=(3, d)), rng.normal(size=d))
+    rows = projection._BLOCK_FLOATS // d
+    for n in (0, 1, rows - 1, 2 * rows + 3):
+        records = _random_records(rng, n, d)
+        points = project(op, records)
+        expected = np.array([project_vector(op, r.h) for r in records]).reshape(n, 2)
+        assert np.array_equal(points, expected)
+        assert np.array_equal(np.signbit(points), np.signbit(expected))
+
+
+def test_project_names_a_feature_of_the_wrong_width():
+    op = build_projection(np.eye(3))
+    records = _random_records(np.random.default_rng(0), 5, 3)
+    records[3] = FeatureRecord(0, 1, 0.5, np.zeros(4), "different_class")
+    with pytest.raises(ValueError, match=r"^feature has shape \(4,\), expected \(3,\)$"):
+        project(op, records)
+
+
+def test_projecting_a_thousand_wide_records_peaks_under_one_megabyte():
+    d = 1000
+    rng = np.random.default_rng(0)
+    op = build_projection(rng.normal(size=(3, d)))
+    records = _random_records(rng, 1000, d)
+    tracemalloc.start()
+    try:
+        project(op, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

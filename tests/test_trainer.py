@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from mixupgeom.mixup import BetaSpec, make_mixup_batch, mix
+from mixupgeom import trainer
+from mixupgeom.etf import build_simplex_etf, etf_deviation_metrics
 from mixupgeom.trainer import (
     SyntheticDataset,
     TrainConfig,
@@ -157,9 +160,133 @@ def test_training_deterministic():
         assert np.array_equal(wa, wb)
 
 
-def test_fixed_etf_classifier_is_frozen():
-    from mixupgeom.etf import build_simplex_etf
+def reference_loss_and_grads(weights, biases, clf_w, clf_b, activation, x, targets, loss_kind):
+    """loss_and_grads with one new array per gradient and the activation's
+    slope taken from the pre-activations: 0/1 floats for ReLU, 1 - tanh(z)^2
+    for tanh."""
+    pre, post, a = [], [], x
+    for w, b in zip(weights, biases):
+        pre.append(a @ w.T + b)
+        a = np.maximum(pre[-1], 0.0) if activation == "relu" else np.tanh(pre[-1])
+        post.append(a)
+    logits = a @ clf_w.T + clf_b
+    n = len(x)
+    if loss_kind == "mse_mixup":
+        diff = logits - targets
+        loss, dlogits = float((diff * diff).sum() / n), 2.0 * diff / n
+    else:
+        logp = trainer._log_softmax(logits)
+        loss, dlogits = float(-(targets * logp).sum() / n), (np.exp(logp) - targets) / n
+    d_weights, d_biases = [None] * len(weights), [None] * len(weights)
+    delta = dlogits @ clf_w
+    for layer in reversed(range(len(weights))):
+        if activation == "relu":
+            delta = delta * (pre[layer] > 0.0).astype(float)
+        else:
+            t = np.tanh(pre[layer])
+            delta = delta * (1.0 - t * t)
+        d_weights[layer] = delta.T @ (post[layer - 1] if layer > 0 else x)
+        d_biases[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ weights[layer]
+    return loss, d_weights, d_biases, dlogits.T @ post[-1], dlogits.sum(axis=0)
 
+
+def reference_train(dataset, cfg):
+    """train as a loop over parameters: a fresh make_mixup_batch, with
+    its label checks, on every step, reference_loss_and_grads and one
+    momentum update per weight matrix and bias vector."""
+    inputs, labels = np.asarray(dataset[0], dtype=float), np.asarray(dataset[1])
+    n, input_dim = inputs.shape
+    num_classes = int(labels.max()) + 1
+    rng = np.random.default_rng(cfg.seed)
+    weights, biases, fan_in = [], [], input_dim
+    for _ in range(cfg.hidden_layers):
+        weights.append(trainer._init_matrix(rng, cfg.width, fan_in))
+        biases.append(np.zeros(cfg.width))
+        fan_in = cfg.width
+    if cfg.classifier_mode == "fixed_etf":
+        clf_w = build_simplex_etf(num_classes, cfg.width, cfg.etf_multiplier, cfg.seed).rows
+    else:
+        clf_w = trainer._init_matrix(rng, num_classes, cfg.width)
+    clf_b = np.zeros(num_classes)
+    learned = cfg.classifier_mode == "learned"
+    moved = [(p, True) for p in weights] + [(p, False) for p in biases]
+    if learned:
+        moved += [(clf_w, True), (clf_b, False)]
+    velocity = [np.zeros_like(p) for p, _ in moved]
+    eye = np.eye(num_classes)
+    spec = BetaSpec(cfg.mixup_alpha) if cfg.mixup_alpha > 0 else None
+    use_mixup = spec is not None and cfg.loss_kind != "ce_baseline"
+    steps = max(1, math.ceil(n / cfg.batch_size))
+    model = trainer.TrainedModel(
+        cfg, input_dim, num_classes, weights, biases, clf_w, clf_b, []
+    )
+    for _ in range(cfg.epochs):
+        epoch_loss = 0.0
+        if not use_mixup:
+            order = rng.permutation(n)
+        for step in range(steps):
+            if use_mixup:
+                batch = make_mixup_batch(inputs, labels, spec, cfg.batch_size, rng, num_classes)
+                xb, tb = batch.x, batch.y
+            else:
+                idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                xb, tb = inputs[idx], eye[labels[idx]]
+            loss, dw, db, dcw, dcb = reference_loss_and_grads(
+                weights, biases, clf_w, clf_b, cfg.activation, xb, tb, cfg.loss_kind
+            )
+            epoch_loss += loss
+            grads = dw + db + ([dcw, dcb] if learned else [])
+            for (p, decays), v, g in zip(moved, velocity, grads):
+                if decays:
+                    g = g + cfg.weight_decay * p
+                v *= cfg.momentum
+                v += g
+                p -= cfg.learning_rate * v
+        model.history.append(
+            trainer.EpochStats(
+                epoch_loss / steps,
+                trainer.accuracy(model, inputs, labels),
+                etf_deviation_metrics(clf_w),
+            )
+        )
+    return model
+
+
+REFERENCE_CONFIGS = {
+    "default": {},
+    "fixed_etf": {"classifier_mode": "fixed_etf"},
+    "ce_baseline": {"loss_kind": "ce_baseline"},
+    "mse_mixup": {"loss_kind": "mse_mixup"},
+    "tanh": {"activation": "tanh"},
+    "alpha 0": {"mixup_alpha": 0.0},
+    "alpha 0.05": {"mixup_alpha": 0.05},
+    "no weight decay": {"weight_decay": 0.0},
+    "one hidden layer of width 7": {"hidden_layers": 1, "width": 7},
+    "batch 100": {"batch_size": 100},
+    "batch 1000": {"batch_size": 1000},
+}
+
+
+@pytest.mark.parametrize("overrides", REFERENCE_CONFIGS.values(), ids=REFERENCE_CONFIGS)
+def test_train_writes_the_bytes_of_the_per_parameter_loop(overrides):
+    for seed in (0, 1):
+        data = make_synthetic(default_dataset_spec(seed))
+        cfg = TrainConfig(**{"epochs": 4, "seed": seed, **overrides})
+        assert model_to_json(train(data, cfg)) == model_to_json(reference_train(data, cfg))
+
+
+@pytest.mark.parametrize("loss_kind", ["ce_mixup", "ce_baseline"])
+def test_train_rejects_a_negative_label(loss_kind):
+    x, y = small_data()
+    y = y.copy()
+    y[7] = -1
+    with pytest.raises(ValueError, match="^dataset line 9: label -1 is not in \\[0, 3\\)$"):
+        train((x, y), small_config(loss_kind=loss_kind))
+
+
+def test_fixed_etf_classifier_is_frozen():
     data = small_data()
     cfg = small_config(classifier_mode="fixed_etf", etf_multiplier=1.0)
     model = train(data, cfg)
@@ -193,7 +320,7 @@ def test_batched_extraction_matches_per_row_forward_passes():
     batch = make_mixup_batch(x, y, BetaSpec(1.0), 200, rng, 3)
     records = extract_activations(model, batch)
     for row, r in zip(batch.x, records):
-        _, post, _ = forward_pass(
+        post, _ = forward_pass(
             model.weights, model.biases, model.clf_w, model.clf_b,
             model.config.activation, row[None, :],
         )
