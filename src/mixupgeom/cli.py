@@ -413,6 +413,9 @@ def main(argv=None) -> int:
     """Run one command. A bad input or a failed solve prints one
     'error: <message>' line and returns 1; bad flags return 2."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError, KernelSolveError, trainer.TrainingDivergedError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import array
 import collections
 import contextlib
+import itertools
 import math
 import os
 import pickle
@@ -191,18 +192,6 @@ def solve_different_class(params: TheoryParams, lam: float) -> DifferentClassSol
     return solve_grid([params], [lam])[0][1][0]
 
 
-def _pair_features(rows, i, ip, coeff_i, coeff_ip):
-    """coeff_i * w_i + coeff_ip * w_ip; i, ip and the coefficients may be
-    arrays that broadcast against the rows."""
-    return coeff_i * rows[i] + coeff_ip * rows[ip]
-
-
-def _channel_shift(rows, i, ip, eps):
-    """eps * (w_i + w_ip), which equals -eps * sum_{j != i, ip} w_j because
-    the rows sum to 0; arrays broadcast as in _pair_features."""
-    return eps * (rows[i] + rows[ip])
-
-
 def assemble_feature(solution, etf: SimplexEtf, i: int, ip: int) -> FeatureRecord:
     """Materialize a scalar solution as a d-vector in the ETF row basis."""
     C = etf.num_classes
@@ -217,7 +206,7 @@ def assemble_feature(solution, etf: SimplexEtf, i: int, ip: int) -> FeatureRecor
         return FeatureRecord(class_i=i, class_ip=ip, lam=math.nan, h=h, kind=SAME_CLASS)
     if i == ip:
         raise ValueError("different-class solution needs i != ip")
-    h = _pair_features(etf.rows, i, ip, solution.coeff_i, solution.coeff_ip)
+    h = solution.coeff_i * etf.rows[i] + solution.coeff_ip * etf.rows[ip]
     return FeatureRecord(
         class_i=i, class_ip=ip, lam=solution.lam, h=h, kind=DIFFERENT_CLASS
     )
@@ -230,12 +219,13 @@ def epsilon_amplification(lam: float) -> float:
 
 
 def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
-    """Push a different-class feature along w_i + w_ip by epsilon(lam);
-    same-class records pass through unchanged."""
+    """Push a different-class feature along w_i + w_ip by epsilon(lam),
+    which is -epsilon(lam) times the sum of the other rows, because the
+    rows sum to 0; same-class records pass through unchanged."""
     if record.kind == SAME_CLASS:
         return record
     eps = epsilon_amplification(record.lam)
-    shift = _channel_shift(etf.rows, record.class_i, record.class_ip, eps)
+    shift = eps * (etf.rows[record.class_i] + etf.rows[record.class_ip])
     return FeatureRecord(
         class_i=record.class_i,
         class_ip=record.class_ip,
@@ -246,20 +236,39 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
     )
 
 
+# generate_configuration's temporaries hold about this many floats
+# (512 KB), so its memory is its matrix however many lambda it takes.
+_BLOCK_FLOATS = 1 << 16
+
+
+class Configuration(list):
+    """The records of generate_configuration. Their h are row views of one
+    read-only n x d matrix whose row k holds record k's h."""
+
+    def __init__(self, records, h):
+        super().__init__(records)
+        self._h, self._views = h, [r.h for r in records]
+
+    def feature_matrix(self):
+        """The matrix, or None once a record or its h was replaced."""
+        kept = len(self) == len(self._views) and all(r.h is v for r, v in zip(self, self._views))
+        return self._h if kept else None
+
+
 def generate_configuration(
     params: TheoryParams,
     etf: SimplexEtf,
     class_subset,
     lambda_samples,
     amplified: bool = False,
-) -> list[FeatureRecord]:
+) -> Configuration:
     """One feature per (lambda sample, ordered class pair), lambda-major
     order, with lambda samples shared across pairs.
 
-    The features of each family are built with one broadcast, with the
-    arithmetic of assemble_feature and amplify. All same-class records
-    of one class share one h array; the different-class records are
-    rows of one matrix.
+    The features are written, with the arithmetic of assemble_feature and
+    amplify, into one read-only record-order matrix, a class pair and a
+    lambda block at a time. Every h is a row view of it; all same-class
+    records of one class share one view, so a writer formats it once.
     """
     class_subset = list(class_subset)
     lambda_samples = [float(v) for v in lambda_samples]
@@ -273,28 +282,31 @@ def generate_configuration(
     if params.C != etf.num_classes or params.m != etf.multiplier:
         raise ValueError("solution parameters do not match the supplied ETF")
     (same,), diff = _solve_cells([params], lambda_samples)
-    rows = etf.rows
-    same_h = {c: same.coeff * rows[c] for c in class_subset}
-    pairs = [(a, b) for a in class_subset for b in class_subset if a != b]
-    i = np.array([a for a, _ in pairs], dtype=int)
-    ip = np.array([b for _, b in pairs], dtype=int)
-    coeff_i, coeff_ip = diff["coeff_i"][0, :, None, None], diff["coeff_ip"][0, :, None, None]
-    h = _pair_features(rows, i, ip, coeff_i, coeff_ip)
+    rows, n, s = etf.rows, len(lambda_samples), len(class_subset)
+    h = np.empty((n * s * s, rows.shape[1]))
+    grid = h.reshape(n, s, s, -1)
+    coeff_i, coeff_ip = diff["coeff_i"][0, :, None], diff["coeff_ip"][0, :, None]
     if amplified:
-        eps = np.array([epsilon_amplification(lam) for lam in lambda_samples])
-        h = h + _channel_shift(rows, i, ip, eps[:, None, None])
-    diff_h = iter(h.reshape(-1, rows.shape[1]))
-    records = []
-    for lam in lambda_samples:
-        for a in class_subset:
-            for b in class_subset:
-                if a == b:
-                    records.append(FeatureRecord(a, b, lam, same_h[a], SAME_CLASS))
-                else:
-                    records.append(
-                        FeatureRecord(a, b, lam, next(diff_h), DIFFERENT_CLASS, amplified)
-                    )
-    return records
+        eps = np.array([epsilon_amplification(lam) for lam in lambda_samples])[:, None]
+    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    for (ia, a), (ib, b) in itertools.product(enumerate(class_subset), repeat=2):
+        if a == b:
+            grid[:, ia, ib] = same.coeff * rows[a]
+            continue
+        for lo in range(0, n, step):
+            out, block = grid[lo : lo + step, ia, ib], slice(lo, lo + step)
+            np.multiply(coeff_i[block], rows[a], out=out)
+            out += coeff_ip[block] * rows[b]
+            if amplified:
+                out += eps[block] * (rows[a] + rows[b])
+    h.flags.writeable = False
+    same_h = {a: grid[0, ia, ia] for ia, a in enumerate(class_subset)}
+    keys = itertools.product(lambda_samples, class_subset, class_subset)
+    return Configuration([
+        FeatureRecord(a, b, lam, same_h[a], SAME_CLASS) if a == b
+        else FeatureRecord(a, b, lam, row, DIFFERENT_CLASS, amplified)
+        for (lam, a, b), row in zip(keys, h)
+    ], h)
 
 
 CSV_KINDS = {SAME_CLASS, DIFFERENT_CLASS}

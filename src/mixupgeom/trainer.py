@@ -69,6 +69,8 @@ class SyntheticDataset:
             raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
         if self.samples_per_class < 1:
             raise ValueError("need at least one sample per class")
+        if self.seed < 0:
+            raise ValueError(f"dataset seed must be non-negative, got {self.seed}")
         for a in range(self.num_classes):
             for b in range(a + 1, self.num_classes):
                 dist = float(np.linalg.norm(means[a] - means[b]))
@@ -150,6 +152,8 @@ class TrainConfig:
             raise ValueError(f"unknown classifier mode {self.classifier_mode!r}")
         if self.classifier_mode == FIXED_ETF and self.etf_multiplier == 0:
             raise ValueError("etf_multiplier must be nonzero in fixed_etf mode")
+        if self.seed < 0:
+            raise ValueError(f"training seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -132,13 +132,16 @@ def total_objective(w, features, cfg: UfmConfig) -> ObjectiveReport:
 
     Accepts any records carrying (h, class_i, class_ip, lam); the
     per-sample values come from one row-wise log-softmax over the n x d
-    feature matrix and are summed in record order.
+    feature matrix and are summed in record order. The matrix is the one
+    generate_configuration's records carry, else the records' h stacked.
     """
+    h = getattr(features, "feature_matrix", lambda: None)()
     features = list(features)
     if not features:
         raise ValueError("empty feature list")
     w = np.asarray(w, dtype=float)
-    h = np.array([rec.h for rec in features], dtype=float)
+    if h is None:
+        h = np.array([rec.h for rec in features], dtype=float)
     i = np.array([rec.class_i for rec in features])
     ip = np.array([rec.class_ip for rec in features])
     lam = np.array([rec.lam for rec in features], dtype=float)

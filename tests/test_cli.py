@@ -442,6 +442,33 @@ def test_extract_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_a_negative_seed_flag_is_named(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    out = tmp_path / "out.csv"
+    for argv in (
+        ["theory-solve", "--samples", "3", "--seed", "-1", "--out", str(out)],
+        ["extract", "--model", str(model), "--dataset", str(data), "--out", str(out),
+         "--seed", "-1"],
+    ):
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout, stderr) == (2, "", "error: --seed must be non-negative\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("train.seed", "training seed must be non-negative, got -2"),
+     ("dataset.seed", "dataset seed must be non-negative, got -2")],
+)
+def test_a_negative_seed_key_is_named(tmp_path, capsys, key, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = -2\ntrain.epochs = 1\n")
+    model = tmp_path / "m.json"
+    code, stdout, stderr = run(["train", "--config", str(cfg), "--out", str(model)], capsys)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert not model.exists()
+
+
 def test_train_reads_every_dataset_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(

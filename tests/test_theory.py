@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from mixupgeom.trainer import (
     make_synthetic,
     train,
 )
-from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss
+from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss, total_objective
 
 PARAMS = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
 
@@ -243,6 +245,102 @@ def test_configuration_matches_per_record_assembly():
                     b.class_i, b.class_ip, b.lam, b.kind, b.amplified
                 )
                 assert a.h.tobytes() == b.h.tobytes()
+
+
+TWO = TheoryParams(C=2, m=1.5, lambda_h=1e-3, d=4)
+
+
+@pytest.mark.parametrize(
+    "params, subset, amplified",
+    [
+        (PARAMS, [0, 1, 2], False),
+        (PARAMS, [0, 1, 2], True),
+        (TWO, [0, 1], False),
+        (TWO, [1, 0], True),
+        (PARAMS, [4], False),
+    ],
+    ids=["plain", "amplified", "two-class", "subset-1-0", "subset-4"],
+)
+def test_objective_reads_the_configuration_matrix_as_stacked_copies_would(
+    params, subset, amplified
+):
+    frame = build_simplex_etf(params.C, params.d, params.m, seed=1)
+    records = generate_configuration(params, frame, subset, [0.0, 0.3, 0.5, 1.0], amplified)
+    h = records.feature_matrix()
+    assert h.shape == (len(records), params.d) and not h.flags.writeable
+    for k, r in enumerate(records):
+        assert np.shares_memory(r.h, h) and r.h.tobytes() == h[k].tobytes()
+    copies = [dataclasses.replace(r, h=r.h.copy()) for r in records]
+    cfg = UfmConfig(lambda_h=params.lambda_h)
+    assert (
+        total_objective(frame.rows, records, cfg).mean_per_sample
+        == total_objective(frame.rows, copies, cfg).mean_per_sample
+    )
+
+
+def test_a_changed_configuration_is_stacked_again():
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    cfg = UfmConfig(lambda_h=1e-6)
+
+    def changed(change):
+        records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
+        change(records)
+        assert records.feature_matrix() is None
+        copies = [dataclasses.replace(r, h=r.h.copy()) for r in records]
+        return total_objective(frame.rows, records, cfg), total_objective(frame.rows, copies, cfg)
+
+    def swap(records):
+        records[0], records[1] = records[1], records[0]
+
+    for change in (
+        lambda records: setattr(records[4], "h", records[4].h + 1.0),
+        lambda records: setattr(records[4], "h", records[5].h),
+        swap,
+        lambda records: records.append(records[3]),
+        lambda records: records.pop(),
+    ):
+        got, expected = changed(change)
+        assert got.mean_per_sample == expected.mean_per_sample
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3])
+    with pytest.raises(ValueError, match="read-only"):
+        records[1].h[0] = 1.0
+
+
+def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monkeypatch):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    lams = [0.2, 0.5, 0.9]
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], lams)
+    for c in (0, 1, 2):
+        rows = [r.h for r in records if r.kind == SAME_CLASS and r.class_i == c]
+        assert len(rows) == len(lams) and all(h is rows[0] for h in rows)
+    formatted = []
+
+    def counting_repr(value):
+        formatted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(theory, "_process_count", lambda floats: 1)
+    monkeypatch.setattr(theory, "repr", counting_repr, raising=False)
+    features_to_csv(records, tmp_path / "features.csv")
+    # One row per class and one per lambda and ordered pair, d floats each.
+    assert len(formatted) == (3 + len(lams) * 6) * 100
+    assert (tmp_path / "features.csv").read_text() == reference_features_csv(records)
+
+
+def test_configuration_and_objective_hold_about_one_matrix():
+    # C = 10, d = 1000, all 10 classes and 10 lambda: 1000 records, an
+    # 8 MB feature matrix. The bound was fixed before the first run.
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
+    frame = build_simplex_etf(10, 1000, 3.0, seed=0)
+    lams = list(np.random.default_rng(0).uniform(size=10))
+    tracemalloc.start()
+    try:
+        records = generate_configuration(params, frame, range(10), lams)
+        total_objective(frame.rows, records, UfmConfig(lambda_h=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (1000 * 1000 * 8)
 
 
 def reference_features_csv(records) -> str:

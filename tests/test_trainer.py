@@ -95,6 +95,10 @@ def test_config_validation():
         TrainConfig(classifier_mode="frozen")
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
+    with pytest.raises(ValueError, match="training seed must be non-negative, got -2"):
+        TrainConfig(seed=-2)
+    with pytest.raises(ValueError, match="dataset seed must be non-negative, got -2"):
+        default_dataset_spec(seed=-2)
 
 
 @pytest.mark.parametrize("loss_kind", ["ce_mixup", "mse_mixup"])
