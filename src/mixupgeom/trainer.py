@@ -182,7 +182,8 @@ class TrainingDivergedError(RuntimeError):
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == RELU else np.tanh(z)
+    """The activation applied to z in place."""
+    return np.maximum(z, 0.0, out=z) if kind == RELU else np.tanh(z, out=z)
 
 
 def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
@@ -196,9 +197,13 @@ def forward_pass(weights, biases, clf_w, clf_b, activation, x):
     post = []
     a = np.asarray(x, dtype=float)
     for w, b in zip(weights, biases):
-        a = _act(a @ w.T + b, activation)
+        z = a @ w.T
+        z += b
+        a = _act(z, activation)
         post.append(a)
-    return post, a @ clf_w.T + clf_b
+    logits = a @ clf_w.T
+    logits += clf_b
+    return post, logits
 
 
 def _views(flat, weights, biases, clf_w, clf_b):
@@ -231,18 +236,20 @@ def loss_and_grads(
     if loss_kind in (CE_MIXUP, CE_BASELINE):
         logp = _log_softmax(logits)
         loss = float(-(targets * logp).sum() / n)
-        dlogits = (np.exp(logp) - targets) / n
+        dlogits = np.exp(logp)
+        dlogits -= targets
     else:
-        diff = logits - targets
-        loss = float((diff * diff).sum() / n)
-        dlogits = 2.0 * diff / n
+        dlogits = logits - targets
+        loss = float((dlogits * dlogits).sum() / n)
+        dlogits *= 2.0
+    dlogits /= n
     grads = out or _views(None, weights, biases, clf_w, clf_b)
     d_weights, d_biases, d_clf_w, d_clf_b = grads
     np.matmul(dlogits.T, post[-1], out=d_clf_w)
     dlogits.sum(axis=0, out=d_clf_b)
     delta = dlogits @ clf_w
     for layer in reversed(range(len(weights))):
-        delta = delta * _act_deriv(post[layer], activation)
+        delta *= _act_deriv(post[layer], activation)
         below = post[layer - 1] if layer > 0 else x
         np.matmul(delta.T, below, out=d_weights[layer])
         delta.sum(axis=0, out=d_biases[layer])
@@ -256,6 +263,10 @@ def _init_matrix(rng, out_dim, in_dim):
     return rng.uniform(-bound, bound, size=(out_dim, in_dim))
 
 
+# A diverging step overflows before its loss turns non-finite, and so does
+# the accuracy of weights that have blown up; the loss check reports the
+# divergence as one error.
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, cfg: TrainConfig) -> TrainedModel:
     """Minibatch SGD with momentum and weight decay.
 
@@ -270,6 +281,14 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
     labels = np.asarray(labels, dtype=int)
     n, input_dim = inputs.shape
     num_classes = int(labels.max()) + 1
+    _check_labels(labels, num_classes)
+    if num_classes < 2:
+        raise ValueError(f"training needs at least 2 classes, the dataset has {num_classes}")
+    if cfg.classifier_mode == FIXED_ETF and cfg.width < num_classes:
+        raise ValueError(
+            f"fixed_etf needs a width of at least the class count: "
+            f"width {cfg.width}, {num_classes} classes"
+        )
     rng = np.random.default_rng(cfg.seed)
 
     weights = []
@@ -302,7 +321,6 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
     p, p_w, g, g_w = params[lo:hi], params[lo:split], grad[lo:hi], grad[lo:split]
     velocity = np.zeros_like(p)
 
-    _check_labels(labels, num_classes)
     onehot = np.eye(num_classes)[labels]
     spec = BetaSpec(cfg.mixup_alpha) if cfg.mixup_alpha > 0 else None
     use_mixup = spec is not None and cfg.loss_kind != CE_BASELINE
@@ -321,18 +339,18 @@ def train(dataset, cfg: TrainConfig) -> TrainedModel:
 
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
-        if not use_mixup:
+        if use_mixup:
+            # The epoch's draws come in the order of one draw per step, and
+            # mixing is elementwise, so mixing them at once gives every step
+            # the rows it would have drawn and mixed alone.
+            draws = [_draw(n, spec, cfg.batch_size, rng) for _ in range(steps)]
+            i, j, lam = map(np.concatenate, zip(*draws))
+            xs, ts = _mix_rows(lam, (inputs, i, j), (onehot, i, j))
+        else:
             order = rng.permutation(n)
-        for step in range(steps):
-            if use_mixup:
-                i, j, lam = _draw(n, spec, cfg.batch_size, rng)
-                xb, tb = _mix_rows(lam, (inputs, i, j), (onehot, i, j))
-            else:
-                idx = order[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                if len(idx) == 0:
-                    continue
-                xb = inputs[idx]
-                tb = onehot[idx]
+            xs, ts = inputs[order], onehot[order]
+        for k in range(0, len(xs), cfg.batch_size):
+            xb, tb = xs[k : k + cfg.batch_size], ts[k : k + cfg.batch_size]
             loss = loss_and_grads(*net, cfg.activation, xb, tb, cfg.loss_kind, out=grads)[0]
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)
@@ -484,8 +502,8 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
     labels = np.asarray(labels, dtype=int)
     header = "label," + ",".join(f"x_{j}" for j in range(inputs.shape[1]))
     lines = [header]
-    for y, row in zip(labels, inputs):
-        lines.append(f"{y}," + ",".join(repr(float(v)) for v in row))
+    for y, row in zip(labels.tolist(), inputs.tolist()):
+        lines.append(f"{y}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

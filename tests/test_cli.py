@@ -506,6 +506,33 @@ def test_train_rejects_bad_config(tmp_path, capsys):
     assert "input dimension" in stderr
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("train.learning_rate = 1000.0\n", "non-finite loss nan at epoch 0"),
+        ("dataset.num_classes = 1\n", "training needs at least 2 classes, the dataset has 1"),
+        (
+            "train.classifier_mode = fixed_etf\ntrain.width = 2\n",
+            "fixed_etf needs a width of at least the class count: width 2, 3 classes",
+        ),
+    ],
+    ids=["diverging", "one class", "fixed_etf narrower than the classes"],
+)
+def test_a_run_that_cannot_train_is_one_error_line_and_writes_nothing(
+    tmp_path, capsys, config, message
+):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    model, data = tmp_path / "m.json", tmp_path / "data.csv"
+    code, stdout, stderr = run(
+        ["train", "--config", str(cfg), "--out", str(model), "--dataset-out", str(data)],
+        capsys,
+    )
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert os.listdir(tmp_path) == ["cfg.txt"]
+
+
 def test_ece_hand_case(tmp_path, capsys):
     preds = tmp_path / "preds.csv"
     preds.write_text(

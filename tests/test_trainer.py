@@ -290,6 +290,69 @@ def test_train_rejects_a_negative_label(loss_kind):
         train((x, y), small_config(loss_kind=loss_kind))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "loss_kind, epoch, loss",
+    [("ce_mixup", 2, "nan"), ("mse_mixup", 0, "inf"), ("ce_baseline", 1, "nan")],
+)
+def test_a_diverging_run_names_its_epoch(loss_kind, epoch, loss):
+    cfg = small_config(loss_kind=loss_kind, learning_rate=1000.0)
+    with pytest.raises(trainer.TrainingDivergedError) as err:
+        train(small_data(), cfg)
+    assert err.value.epoch == epoch
+    assert str(err.value) == f"non-finite loss {loss} at epoch {epoch}"
+
+
+@pytest.mark.parametrize(
+    "one_class, overrides, message",
+    [
+        (True, {}, "^training needs at least 2 classes, the dataset has 1$"),
+        (
+            False,
+            {"classifier_mode": "fixed_etf", "width": 2},
+            "^fixed_etf needs a width of at least the class count: width 2, 3 classes$",
+        ),
+    ],
+    ids=["one class", "fixed_etf narrower than the classes"],
+)
+def test_training_rejects_too_few_classes_before_its_first_step(
+    monkeypatch, one_class, overrides, message
+):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(trainer, "loss_and_grads", no_step)
+    x, y = small_data()
+    with pytest.raises(ValueError, match=message):
+        train((x, np.zeros_like(y) if one_class else y), small_config(**overrides))
+
+
+def _flat(grads):
+    d_weights, d_biases, d_clf_w, d_clf_b = grads
+    return [*d_weights, *d_biases, d_clf_w, d_clf_b]
+
+
+@pytest.mark.parametrize("loss_kind", ["ce_mixup", "mse_mixup", "ce_baseline"])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_loss_and_grads_writes_only_into_out(loss_kind, activation):
+    rng = np.random.default_rng(1)
+    weights = [rng.normal(size=(6, 3)), rng.normal(size=(6, 6))]
+    biases = [rng.normal(size=6), rng.normal(size=6)]
+    clf_w, clf_b = rng.normal(size=(4, 6)), rng.normal(size=4)
+    x = rng.normal(size=(9, 3))
+    targets = rng.dirichlet(np.ones(4), size=9)
+    net = (weights, biases, clf_w, clf_b)
+    inputs = [*weights, *biases, clf_w, clf_b, x, targets]
+    before = [a.tobytes() for a in inputs]
+    fresh = loss_and_grads(*net, activation, x, targets, loss_kind)
+    out = trainer._views(None, *net)
+    got = loss_and_grads(*net, activation, x, targets, loss_kind, out=out)
+    assert [a.tobytes() for a in inputs] == before
+    assert got[0] == fresh[0]
+    assert all(g is o for g, o in zip(_flat(got[1:]), _flat(out), strict=True))
+    assert [g.tobytes() for g in _flat(got[1:])] == [f.tobytes() for f in _flat(fresh[1:])]
+
+
 def test_fixed_etf_classifier_is_frozen():
     data = small_data()
     cfg = small_config(classifier_mode="fixed_etf", etf_multiplier=1.0)
