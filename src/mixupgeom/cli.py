@@ -252,7 +252,8 @@ def cmd_project(args) -> int:
     if args.center_mean:
         if not records:
             raise ValueError(f"{args.features}: no feature rows to take a mean of")
-        center = np.mean([r.h for r in records], axis=0)
+        # np.mean's axis-0 sum bit for bit, without an n x d copy.
+        center = sum(r.h for r in records) / len(records)
     op = projection.build_projection(w, center)
     points = projection.project(op, records)
     text = projection.points_to_csv(records, points)

@@ -1,8 +1,8 @@
 """Simplex equiangular tight frame construction and deviation metrics.
 
 A simplex ETF classifier has C rows of common norm |m| in dimension
-d >= C, pairwise cosine -1/(C-1), and rows summing to zero. Rows are
-derived from a seeded orthonormal basis, so builds are deterministic.
+d >= C, pairwise cosine -1/(C-1), and rows summing to zero. Rows come
+from the Householder QR of seeded draws, so builds are deterministic.
 """
 
 from __future__ import annotations
@@ -37,26 +37,12 @@ class EtfMetrics:
     cosine_std: float
 
 
-def _orthonormalize(mat: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the columns of mat."""
-    q = mat.astype(float).copy()
-    d, c = q.shape
-    for j in range(c):
-        for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = np.linalg.norm(q[:, j])
-        if norm < 1e-10:
-            raise ValueError("degenerate random basis; use a different seed")
-        q[:, j] /= norm
-    return q
-
-
 def build_simplex_etf(C: int, d: int, m: float, seed: int) -> SimplexEtf:
     """Construct a simplex ETF with C classes in dimension d >= C.
 
-    The orthonormal basis U comes from seeded uniform entries in [-1, 1]
-    followed by modified Gram-Schmidt, so the result is deterministic
-    given the seed.
+    The orthonormal basis U is the Householder QR factor Q of seeded
+    uniform entries in [-1, 1], signed so that R has a positive diagonal
+    as Gram-Schmidt's has, so the result is deterministic given the seed.
     """
     if C < 2:
         raise ValueError(f"need at least 2 classes, got {C}")
@@ -65,7 +51,10 @@ def build_simplex_etf(C: int, d: int, m: float, seed: int) -> SimplexEtf:
     if m == 0:
         raise ValueError("multiplier must be nonzero")
     rng = np.random.default_rng(seed)
-    u = _orthonormalize(rng.uniform(-1.0, 1.0, size=(d, C)))
+    q, r = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(d, C)))
+    if np.min(np.abs(np.diag(r))) < 1e-10:
+        raise ValueError("degenerate random basis; use a different seed")
+    u = q * np.sign(np.diag(r))
     scale = m * np.sqrt(C / (C - 1.0))
     centering = np.eye(C) - np.ones((C, C)) / C
     rows = scale * centering @ u.T

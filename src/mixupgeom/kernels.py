@@ -220,7 +220,12 @@ def solve_diff_k(C, m2, lh, lams):
         what,
         [lams, *cell],
     )
-    return -np.exp(u), _diff_state(u, lams, *cell)[1]
+    k, x = -np.exp(u), _diff_state(u, lams, *cell)[1]
+    # x = k - u + t keeps few digits where x is small beside u. One Newton
+    # step on x - k for x + exp(x - k + u) = lam/(-beta), which holds no
+    # u, restores them; x - k + u is t to rounding, so exp stays finite.
+    e = np.exp(x - k + u)
+    return k, x - (x + e - lams / neg_beta) / (1.0 + e)
 
 
 def solve_two_class_inner(m2, lh, lams):

@@ -132,6 +132,13 @@ def test_oracle_check_small_grid(capsys):
     assert "ok" in stdout
 
 
+def test_oracle_check_one_cell_at_a_thousand_classes(capsys):
+    argv = ["oracle-check", "--C-list", "1000", "--m-list", "1", "--lambda-h-list", "1e-6"]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert "FAIL" not in stdout
+
+
 def test_oracle_check_negative_control(capsys):
     code, stdout, _ = run(
         [

@@ -41,6 +41,37 @@ def test_rows_sum_to_zero_and_basis_orthonormal():
     assert np.max(np.abs(gram - np.eye(7))) < 1e-12
 
 
+def _gram_schmidt_twice(a):
+    """Classical Gram-Schmidt with a second pass per column; each column
+    keeps a positive component along its draw, as QR's diagonal does."""
+    q = np.empty_like(a)
+    for j in range(a.shape[1]):
+        v = a[:, j]
+        for _ in range(2):
+            v = v - q[:, :j] @ (q[:, :j].T @ v)
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
+@pytest.mark.parametrize(
+    "C,d,seed", [(2, 2, 0), (3, 5, 7), (10, 100, 1), (64, 64, 3), (300, 300, 0)]
+)
+def test_basis_is_gram_schmidt_of_the_seeded_draws(C, d, seed):
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d, C))
+    basis = build_simplex_etf(C, d, 1.0, seed).basis
+    assert np.max(np.abs(basis - _gram_schmidt_twice(draws))) < 1e-12
+
+
+def test_build_rejects_draws_of_deficient_rank(monkeypatch):
+    class Draws:
+        def uniform(self, lo, hi, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+    with pytest.raises(ValueError, match="degenerate random basis"):
+        build_simplex_etf(3, 5, 1.0, seed=0)
+
+
 def test_build_is_deterministic():
     a = build_simplex_etf(5, 9, 1.0, seed=11)
     b = build_simplex_etf(5, 9, 1.0, seed=11)

@@ -7,8 +7,21 @@ x86-64). Every byte of the feature CSV, of the
 summary and of the oracle-check table follows the last bit of each
 solved root and of each closed-form coefficient, so a change that moves
 one bit anywhere in the solve fails here. A numpy whose exp or log
-rounds differently may move them too; regenerate the files only for
-such a change, never to absorb a change of the code.
+rounds differently may move them too; regenerate the files for such a
+change, or for a change of the code that is meant to move them and
+says so, never to absorb one that is not.
+
+One change of the code rewrote eight of them on purpose, through the
+CLI with the argv below and the same numpy:
+- the simplex-ETF basis became numpy's Householder QR instead of a
+  modified Gram-Schmidt, which moves its entries by up to about 1e-15
+  at C <= 10: theory_c2.*, theory_c10_amplified.*,
+  theory_c3_cell_log.*, oracle_check.txt and
+  practice_fixed_etf_model.json;
+- solve_diff_k took a Newton step on x - k after its outer solve:
+  theory_c10_amplified.*, theory_c3_cell_log.* and oracle_check.txt.
+The learned-classifier model, the dataset and the activations do not
+depend on the basis and kept their bytes.
 
 The cell-log case was found by search: there -beta = 0.00382... is one
 of the few inputs at which np.log and math.log differ in the last bit,
