@@ -12,8 +12,6 @@ from .etf import (
     etf_deviation_metrics,
 )
 from .mixup import (
-    DIFFERENT_CLASS,
-    SAME_CLASS,
     BetaSpec,
     MixupBatch,
     make_mixup_batch,
@@ -21,6 +19,8 @@ from .mixup import (
     sample_lambdas,
 )
 from .theory import (
+    DIFFERENT_CLASS,
+    SAME_CLASS,
     DifferentClassSolution,
     FeatureRecord,
     SameClassSolution,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -156,7 +157,8 @@ def _config_keys() -> dict:
 def parse_config(text: str) -> dict:
     """Flat dotted-key config: one `key = value` per line, # comments.
 
-    Unknown keys are rejected with their line number.
+    Unknown keys, duplicate keys and values that do not parse or, for a
+    float key, are not finite are rejected with their line number.
     """
     known = _config_keys()
     out = {}
@@ -175,6 +177,8 @@ def parse_config(text: str) -> dict:
             out[key] = known[key](value)
         except ValueError:
             raise ValueError(f"line {lineno}: bad value for {key}: {value!r}")
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise ValueError(f"line {lineno}: bad value for {key}: {value!r} is not finite")
     return out
 
 
@@ -292,6 +296,8 @@ def cmd_trajectory(args) -> int:
     classes = tuple(_parse_list(args.classes, int))
     if len(classes) != 3:
         raise ValueError(f"--classes needs exactly 3 ids, got {args.classes!r}")
+    if len(set(classes)) != 3:
+        raise ValueError(f"--classes needs 3 different ids, got {args.classes!r}")
     for c in classes:
         if not 0 <= c < model.num_classes:
             raise ValueError(

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SAME_CLASS = "same_class"
-DIFFERENT_CLASS = "different_class"
-
 
 @dataclass(frozen=True)
 class BetaSpec:
@@ -40,11 +37,6 @@ class MixupBatch:
     class_ip: np.ndarray  # n
     src_i: np.ndarray  # n
     src_j: np.ndarray  # n
-
-    @property
-    def kind(self) -> np.ndarray:
-        """SAME_CLASS where both sources share a class, else DIFFERENT_CLASS."""
-        return np.where(self.class_i == self.class_ip, SAME_CLASS, DIFFERENT_CLASS)
 
     def __len__(self) -> int:
         return len(self.lam)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .theory import CSV_FRONT, _tags
+
 # Triangle vertices as columns: one up, two down, unit norm, zero sum.
 TRIANGLE = np.array(
     [
@@ -122,15 +124,12 @@ def project(op: ProjectionOperator, features) -> np.ndarray:
     return points
 
 
-POINTS_HEADER = "class_i,class_ip,lambda,kind,amplified,px,py"
+POINTS_HEADER = ",".join(CSV_FRONT + ["px", "py"])
 
 
 def points_to_csv(features, points: np.ndarray) -> str:
     """The points CSV: each record's tags followed by its projected point."""
     lines = [POINTS_HEADER]
     for rec, (px, py) in zip(features, points.tolist()):
-        lines.append(
-            f"{rec.class_i},{rec.class_ip},{rec.lam!r},{rec.kind},"
-            f"{int(rec.amplified)},{px!r},{py!r}"
-        )
+        lines.append(f"{_tags(rec)},{px!r},{py!r}")
     return "\n".join(lines) + "\n"

@@ -23,14 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .etf import SimplexEtf, _bad_header, _bad_row
-from .mixup import DIFFERENT_CLASS, SAME_CLASS
+from .etf import SimplexEtf, _bad_header, _parse_rows
+
+SAME_CLASS = "same_class"
+DIFFERENT_CLASS = "different_class"
 
 
 @dataclass(frozen=True)
 class TheoryParams:
     """One parameter cell of the closed form. The domain: C >= 2 classes
-    (tested up to 1000); a multiplier m that is finite and nonzero with
+    (tested up to 2000); a multiplier m that is finite and nonzero with
     a positive finite square (tested from 0.05 to 100); lambda_h positive
     and finite (tested from 1e-10 to 10); a feature dimension d >= C.
     The mixing coefficients the solves take must lie in [0, 1]. A value
@@ -91,8 +93,12 @@ class FeatureRecord:
     class_ip: int
     lam: float
     h: np.ndarray
-    kind: str  # SAME_CLASS or DIFFERENT_CLASS
     amplified: bool = False
+
+    @property
+    def kind(self) -> str:
+        """SAME_CLASS where both sources share a class, else DIFFERENT_CLASS."""
+        return SAME_CLASS if self.class_i == self.class_ip else DIFFERENT_CLASS
 
 
 def _solve_cells(cells, lams):
@@ -203,13 +209,11 @@ def assemble_feature(solution, etf: SimplexEtf, i: int, ip: int) -> FeatureRecor
         if i != ip:
             raise ValueError("same-class solution needs i == ip")
         h = solution.coeff * etf.rows[i]
-        return FeatureRecord(class_i=i, class_ip=ip, lam=math.nan, h=h, kind=SAME_CLASS)
+        return FeatureRecord(class_i=i, class_ip=ip, lam=math.nan, h=h)
     if i == ip:
         raise ValueError("different-class solution needs i != ip")
     h = solution.coeff_i * etf.rows[i] + solution.coeff_ip * etf.rows[ip]
-    return FeatureRecord(
-        class_i=i, class_ip=ip, lam=solution.lam, h=h, kind=DIFFERENT_CLASS
-    )
+    return FeatureRecord(class_i=i, class_ip=ip, lam=solution.lam, h=h)
 
 
 def epsilon_amplification(lam: float) -> float:
@@ -231,7 +235,6 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
         class_ip=record.class_ip,
         lam=record.lam,
         h=record.h + shift,
-        kind=record.kind,
         amplified=True,
     )
 
@@ -303,13 +306,12 @@ def generate_configuration(
     same_h = {a: grid[0, ia, ia] for ia, a in enumerate(class_subset)}
     keys = itertools.product(lambda_samples, class_subset, class_subset)
     return Configuration([
-        FeatureRecord(a, b, lam, same_h[a], SAME_CLASS) if a == b
-        else FeatureRecord(a, b, lam, row, DIFFERENT_CLASS, amplified)
+        FeatureRecord(a, b, lam, same_h[a]) if a == b
+        else FeatureRecord(a, b, lam, row, amplified)
         for (lam, a, b), row in zip(keys, h)
     ], h)
 
 
-CSV_KINDS = {SAME_CLASS, DIFFERENT_CLASS}
 CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
 
 # Floats of text work each process must get. A fork costs CPU whether or
@@ -396,6 +398,12 @@ def _fork_map(work, blocks) -> list:
     return results
 
 
+def _tags(r) -> str:
+    """The CSV_FRONT columns of record r, as every feature and points CSV
+    writes them."""
+    return f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
+
+
 def _write_rows(records, fh) -> None:
     """One CSV line per record; floats in shortest round-trip form. An h
     array that several records share (the same-class records of a
@@ -410,16 +418,16 @@ def _write_rows(records, fh) -> None:
             text = ",".join(map(repr, np.asarray(r.h, dtype=float).tolist()))
             if id(r.h) in shared:
                 texts[id(r.h)] = text
-        front = f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
-        fh.write(f"{front},{text}\n")
+        fh.write(f"{_tags(r)},{text}\n")
 
 
 def features_to_csv(records, path) -> None:
     """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
-    one row per record (see _write_rows). The records are cut into one
-    contiguous block per process (_process_count); every block but the
-    first is written to its own new part file beside path, and the parts
-    are appended to path in order."""
+    one row per record (see _write_rows); the kind follows from the class
+    pair. The records are cut into one contiguous block per process
+    (_process_count). The first block is written to path, every other to
+    an unnamed temporary file in path's folder, and those are appended to
+    path in order."""
     records = list(records)
     if not records:
         raise ValueError("no records to write")
@@ -429,79 +437,76 @@ def features_to_csv(records, path) -> None:
             raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
     n = _process_count(len(records) * d)
     cuts = [len(records) * j // n for j in range(n + 1)]
-    parts = []
+    folder = os.path.dirname(os.path.abspath(path))
+    with open(path, "w") as out, contextlib.ExitStack() as stack:
+        files = [out] + [
+            stack.enter_context(tempfile.TemporaryFile("w+", dir=folder)) for _ in range(1, n)
+        ]
+        out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]) + "\n")
+        # Flushed before the fork, so that no child holds the header.
+        out.flush()
 
-    def write(j):
-        with open(path if j == 0 else parts[j - 1], "a" if j == 0 else "w") as fh:
-            _write_rows(records[cuts[j]:cuts[j + 1]], fh)
+        def write(j):
+            _write_rows(records[cuts[j] : cuts[j + 1]], files[j])
+            files[j].flush()
 
-    try:
-        # Each part file is made new here, so no file of the caller's is
-        # overwritten or removed.
-        for _ in range(1, n):
-            fd, part = tempfile.mkstemp(prefix=".part-", dir=os.path.dirname(os.path.abspath(path)))
-            os.close(fd)
-            parts.append(part)
-        with open(path, "w") as out:
-            out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]) + "\n")
         _fork_map(write, range(n))
-        with open(path, "ab") as out:
-            for part in parts:
-                with open(part, "rb") as fh:
-                    shutil.copyfileobj(fh, out)
-    finally:
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+        for part in files[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, out)
 
 
-def _parse_row(line: str, d: int, values) -> tuple:
-    """(class_i, class_ip, lambda, kind, amplified) of one CSV row; its d
-    h values are appended to the array values."""
-    parts = line.split(",")
+def _parse_row(raw: bytes, d: int, values) -> tuple:
+    """(class_i, class_ip, lambda, amplified) of one CSV row; its d h
+    values are appended to the array values."""
+    parts = raw.decode().split(",")
     if len(parts) - 5 != d:
         raise ValueError(f"{len(parts) - 5} h values, the header has {d}")
     kind, flag = parts[3], parts[4]
-    if kind not in CSV_KINDS:
+    if kind not in (SAME_CLASS, DIFFERENT_CLASS):
         raise ValueError(f"unknown kind {kind!r}")
     if flag not in ("0", "1"):
         raise ValueError(f"amplified must be 0 or 1, got {flag!r}")
-    front = (int(parts[0]), int(parts[1]), float(parts[2]), kind, flag == "1")
+    front = (int(parts[0]), int(parts[1]), float(parts[2]), flag == "1")
+    if (kind == SAME_CLASS) != (front[0] == front[1]):
+        raise ValueError(f"kind {kind} does not match classes {front[0]} and {front[1]}")
     values.extend(map(float, parts[5:]))
     return front
 
 
 def _read_rows(path, lo: int, hi: int, d: int):
-    """Parse the lines that start in bytes [lo, hi) of path. Returns
-    (fronts, h, lines read, bad): the _parse_row tuple of each row, its
-    h values as a rows x d array, and None or (line within the block,
-    message) of the first malformed row, at which reading stops. Blank
-    lines are skipped but counted."""
-    fronts, values = [], array.array("d")
-    lines, pos = 0, lo
-    with open(path, "rb") as fh:
-        fh.seek(lo)
+    """(fronts, h) of the lines that start in bytes [lo, hi) of path: the
+    _parse_row tuple of each row and its h values as a rows x d array.
+    Lines are numbered as in the whole file, so a malformed row raises
+    _parse_rows' path:line error."""
+    values = array.array("d")
+
+    def block(fh):
+        pos = lo
         for raw in fh:
             if pos >= hi:
                 break
             pos += len(raw)
-            lines += 1
-            try:
-                line = raw.decode().strip()
-                if line:
-                    fronts.append(_parse_row(line, d, values))
-            except ValueError as exc:
-                return fronts, None, lines, (lines, str(exc))
-    return fronts, np.frombuffer(values, dtype=float).reshape(len(fronts), d), lines, None
+            yield raw
+
+    with open(path, "rb") as fh:
+        first = 1
+        for at in range(0, lo, 1 << 16):
+            first += fh.read(min(lo - at, 1 << 16)).count(b"\n")
+        fronts = _parse_rows(
+            block(fh), path, "feature", lambda raw: _parse_row(raw, d, values), first
+        )
+    return fronts, np.frombuffer(values, dtype=float).reshape(len(fronts), d)
 
 
 def features_from_csv(path) -> list[FeatureRecord]:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
-    the header's, an unknown kind or an amplified flag other than 0/1.
-    The rows are cut at line starts into one contiguous byte range per
-    process (_process_count, estimated from the first row's length);
-    every range but the first is parsed in a child."""
+    the header's, an unknown kind, a kind that does not follow from the
+    class pair or an amplified flag other than 0/1. The rows are cut at
+    line starts into one contiguous byte range per process
+    (_process_count, estimated from the first row's length); every range
+    but the first is parsed in a child."""
     with open(path, "rb") as fh:
         header = fh.readline().decode().strip().split(",")
         if header[:5] != CSV_FRONT:
@@ -517,14 +522,10 @@ def features_from_csv(path) -> list[FeatureRecord]:
             fh.readline()
             cuts.append(fh.tell())
         cuts.append(size)
-    blocks = list(zip(cuts, cuts[1:]))
-    records, line = [], 1
-    for fronts, h, lines, bad in _fork_map(lambda b: _read_rows(path, *b, d), blocks):
-        if bad is not None:
-            raise _bad_row(path, line + bad[0], "feature", bad[1])
+    records = []
+    for fronts, h in _fork_map(lambda b: _read_rows(path, *b, d), list(zip(cuts, cuts[1:]))):
         records += [
-            FeatureRecord(i, ip, lam, row, kind, amplified)
-            for (i, ip, lam, kind, amplified), row in zip(fronts, h)
+            FeatureRecord(i, ip, lam, row, amplified)
+            for (i, ip, lam, amplified), row in zip(fronts, h)
         ]
-        line += lines
     return records

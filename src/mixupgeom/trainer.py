@@ -392,13 +392,10 @@ def accuracy(model: TrainedModel, x: np.ndarray, labels: np.ndarray) -> float:
 
 def extract_activations(model: TrainedModel, batch: MixupBatch) -> list[FeatureRecord]:
     """Penultimate post-activation vector of each mixed sample, tagged
-    with its source classes, lambda, and kind; order preserved."""
+    with its source classes and lambda; order preserved."""
     post, _ = _forward(model, batch.x)
     tags = (batch.class_i.tolist(), batch.class_ip.tolist(), batch.lam.tolist())
-    return [
-        FeatureRecord(i, ip, lam, h, kind)
-        for i, ip, lam, h, kind in zip(*tags, post[-1], batch.kind.tolist())
-    ]
+    return [FeatureRecord(i, ip, lam, h) for i, ip, lam, h in zip(*tags, post[-1])]
 
 
 def layer_trajectory(model: TrainedModel, x: np.ndarray) -> list:

@@ -139,6 +139,13 @@ def test_oracle_check_one_cell_at_a_thousand_classes(capsys):
     assert "FAIL" not in stdout
 
 
+def test_oracle_check_one_cell_at_two_thousand_classes(capsys):
+    argv = ["oracle-check", "--C-list", "2000", "--m-list", "1", "--lambda-h-list", "1e-6"]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    assert "FAIL" not in stdout
+
+
 def test_oracle_check_negative_control(capsys):
     code, stdout, _ = run(
         [
@@ -346,6 +353,26 @@ def test_trajectory_rejects_a_class_id_outside_the_model(tmp_path, capsys):
         assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ("0,1", "--classes needs exactly 3 ids, got '0,1'"),
+        ("0,0,1", "--classes needs 3 different ids, got '0,0,1'"),
+        ("2,1,2", "--classes needs 3 different ids, got '2,1,2'"),
+    ],
+)
+def test_trajectory_rejects_a_view_that_is_not_three_classes(tmp_path, capsys, classes, message):
+    model, data = _trained(tmp_path, capsys)
+    code, stdout, stderr = run(
+        ["trajectory", "--model", str(model), "--dataset", str(data),
+         "--i", "0", "--j", "50", "--lam", "0.4", f"--classes={classes}",
+         "--out", str(tmp_path / "t.csv")],
+        capsys,
+    )
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def _with_extra_input(data):
     """The dataset CSV with a third input column of zeros."""
     lines = data.read_text().strip().split("\n")
@@ -523,8 +550,27 @@ def test_train_rejects_bad_config(tmp_path, capsys):
             "train.classifier_mode = fixed_etf\ntrain.width = 2\n",
             "fixed_etf needs a width of at least the class count: width 2, 3 classes",
         ),
+        (
+            "train.epochs = 0\ndataset.noise_scale = nan\n",
+            "line 2: bad value for dataset.noise_scale: 'nan' is not finite",
+        ),
+        (
+            "dataset.mean_scale = inf\n",
+            "line 1: bad value for dataset.mean_scale: 'inf' is not finite",
+        ),
+        (
+            "train.learning_rate = nan\n",
+            "line 1: bad value for train.learning_rate: 'nan' is not finite",
+        ),
+        (
+            "train.weight_decay = -inf\n",
+            "line 1: bad value for train.weight_decay: '-inf' is not finite",
+        ),
     ],
-    ids=["diverging", "one class", "fixed_etf narrower than the classes"],
+    ids=[
+        "diverging", "one class", "fixed_etf narrower than the classes",
+        "nan noise_scale", "inf mean_scale", "nan learning_rate", "-inf weight_decay",
+    ],
 )
 def test_a_run_that_cannot_train_is_one_error_line_and_writes_nothing(
     tmp_path, capsys, config, message
@@ -593,6 +639,13 @@ def _bad_feature_row(tmp_path, capsys):
     return argv, f"{feats}:4: bad feature row: unknown kind 'mixed'"
 
 
+def _mismatched_kind_row(tmp_path, capsys):
+    argv, _ = _bad_feature_row(tmp_path, capsys)
+    feats = tmp_path / "features.csv"
+    feats.write_text(feats.read_text().replace("0,1,0.5,mixed", "1,1,0.5,different_class"))
+    return argv, f"{feats}:4: bad feature row: kind different_class does not match classes 1 and 1"
+
+
 def _bad_dataset_row(tmp_path, capsys):
     model, data = _trained(tmp_path, capsys)
     lines = data.read_text().split("\n")
@@ -622,8 +675,11 @@ def _bad_prediction_row(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    [_bad_feature_row, _bad_dataset_row, _bad_classifier_row, _bad_prediction_row],
-    ids=["features", "dataset", "classifier", "predictions"],
+    [
+        _bad_feature_row, _mismatched_kind_row, _bad_dataset_row, _bad_classifier_row,
+        _bad_prediction_row,
+    ],
+    ids=["features", "feature kind", "dataset", "classifier", "predictions"],
 )
 def test_every_reader_names_the_path_and_line_of_a_bad_row(tmp_path, capsys, case):
     argv, message = case(tmp_path, capsys)

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixupgeom.mixup import (
-    DIFFERENT_CLASS,
-    SAME_CLASS,
     BetaSpec,
     make_mixup_batch,
     mix,
@@ -61,13 +59,12 @@ def test_mix_convex_combination():
     assert np.allclose(b.x, [[0.25, 1.5]])
     assert np.allclose(b.y, [[0.25, 0.75]])
     assert b.y.sum() == pytest.approx(1.0)
-    assert list(b.kind) == [DIFFERENT_CLASS]
     assert (b.class_i[0], b.class_ip[0]) == (0, 1)
 
 
 def test_mix_same_class_kind():
     b = mix([[1.0], [2.0]], [1, 1], [0], [1], [0.9], 2)
-    assert list(b.kind) == [SAME_CLASS]
+    assert (b.class_i[0], b.class_ip[0]) == (1, 1)
     assert np.array_equal(b.y, [[0.0, 1.0]])
 
 
@@ -123,7 +120,6 @@ def test_mix_rows_are_convex_combinations(case):
     assert np.allclose(b.y.sum(axis=1), 1.0, rtol=0, atol=1e-15)
     assert np.array_equal(b.class_i, labels[i])
     assert np.array_equal(b.class_ip, labels[j])
-    assert np.array_equal(b.kind == SAME_CLASS, b.class_i == b.class_ip)
 
 
 def test_batch_shapes_and_labels():

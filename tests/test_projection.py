@@ -114,7 +114,7 @@ def test_projected_points_follow_the_span_structure():
 def _random_records(rng, n, d):
     """n records whose features span six orders of magnitude and both signs."""
     scales = 10.0 ** rng.integers(-3, 3, size=n)
-    return [FeatureRecord(0, 1, 0.5, rng.normal(size=d) * s, "different_class") for s in scales]
+    return [FeatureRecord(0, 1, 0.5, rng.normal(size=d) * s) for s in scales]
 
 
 @pytest.mark.parametrize("d", [7, 16, 100, 1000])
@@ -133,7 +133,7 @@ def test_stacked_projection_is_per_row_project_vector_bit_for_bit(d):
 def test_project_names_a_feature_of_the_wrong_width():
     op = build_projection(np.eye(3))
     records = _random_records(np.random.default_rng(0), 5, 3)
-    records[3] = FeatureRecord(0, 1, 0.5, np.zeros(4), "different_class")
+    records[3] = FeatureRecord(0, 1, 0.5, np.zeros(4))
     with pytest.raises(ValueError, match=r"^feature has shape \(4,\), expected \(3,\)$"):
         project(op, records)
 
@@ -150,3 +150,16 @@ def test_projecting_a_thousand_wide_records_peaks_under_one_megabyte():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_points_csv_writes_a_numpy_lambda_as_a_float():
+    records = [
+        FeatureRecord(2, 2, np.float64(0.5), np.zeros(3)),
+        FeatureRecord(0, 1, 0.25, np.ones(3), amplified=True),
+    ]
+    text = projection.points_to_csv(records, np.array([[1.0, -2.0], [0.5, 0.0]]))
+    assert text == (
+        "class_i,class_ip,lambda,kind,amplified,px,py\n"
+        "2,2,0.5,same_class,0,1.0,-2.0\n"
+        "0,1,0.25,different_class,1,0.5,0.0\n"
+    )

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from mixupgeom import kernels, theory
 from mixupgeom.etf import SimplexEtf, build_simplex_etf
-from mixupgeom.mixup import DIFFERENT_CLASS, SAME_CLASS, BetaSpec, make_mixup_batch
+from mixupgeom.mixup import BetaSpec, make_mixup_batch
 from mixupgeom.theory import (
+    DIFFERENT_CLASS,
+    SAME_CLASS,
     TheoryParams,
     amplify,
     assemble_feature,
@@ -428,6 +430,15 @@ def test_feature_csv_reader_rejects_malformed_rows(tmp_path):
         ("0,1,0.5,different_class,0," + ",".join(["1.5"] * 13), "13 h values"),
         (good.replace("different_class,0,", "different_class,7,"), "amplified must be 0 or 1"),
         (good.replace("different_class,0,", "different_class,True,"), "amplified"),
+        (good.replace("different_class", "mixed"), "unknown kind 'mixed'"),
+        (
+            good.replace("different_class", "same_class"),
+            "kind same_class does not match classes 0 and 1",
+        ),
+        (
+            good.replace("0,1,0.5,different_class", "2,2,0.5,different_class"),
+            "kind different_class does not match classes 2 and 2",
+        ),
     ]:
         path.write_text("\n".join([header, good, good, bad, good]) + "\n")
         with pytest.raises(ValueError, match=f"features.csv:4: bad feature row: {message}"):
@@ -499,25 +510,28 @@ def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_pa
         f"h_{j}" for j in range(12)
     )
     good = "0,1,0.5,different_class,0," + ",".join(["1.5"] * 12)
-    bad = good.replace("different_class,0,", "different_class,7,")
     path = tmp_path / "features.csv"
-    # 30 rows and a blank line; file line n holds rows[n - 2].
-    for bad_lines in ([29], [4], [15, 29], [4, 29]):
-        rows = [good] * 30
-        rows[10] = ""
-        for n in bad_lines:
-            rows[n - 2] = bad
-        path.write_text("\n".join([header, *rows]) + "\n")
-        with pytest.raises(
-            ValueError, match=f"features.csv:{bad_lines[0]}: bad feature row: amplified"
-        ):
+    for bad, message in [
+        (good.replace("different_class,0,", "different_class,7,"), "amplified"),
+        (good.replace("different_class", "same_class"), "kind same_class does not match"),
+    ]:
+        # 30 rows and a blank line; file line n holds rows[n - 2].
+        for bad_lines in ([29], [4], [15, 29], [4, 29]):
+            rows = [good] * 30
+            rows[10] = ""
+            for n in bad_lines:
+                rows[n - 2] = bad
+            path.write_text("\n".join([header, *rows]) + "\n")
+            with pytest.raises(
+                ValueError, match=f"features.csv:{bad_lines[0]}: bad feature row: {message}"
+            ):
+                features_from_csv(path)
+        # Blank lines in two blocks and no newline after the bad last row.
+        rows = [good] * 29 + [bad]
+        rows[1] = rows[27] = ""
+        path.write_text("\n".join([header, *rows]))
+        with pytest.raises(ValueError, match=f"features.csv:31: bad feature row: {message}"):
             features_from_csv(path)
-    # Blank lines in two blocks and no newline after the bad last row.
-    rows = [good] * 29 + [bad]
-    rows[1] = rows[27] = ""
-    path.write_text("\n".join([header, *rows]))
-    with pytest.raises(ValueError, match="features.csv:31: bad feature row: amplified"):
-        features_from_csv(path)
 
 
 @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
@@ -563,10 +577,10 @@ def test_assemble_rejects_mismatched_frame():
         assemble_feature(sol, frame, 0, 0)
 
 
-# The stated domain (see TheoryParams): C in [2, 1000], m in [0.05, 100],
+# The stated domain (see TheoryParams): C in [2, 2000], m in [0.05, 100],
 # lambda_h in [1e-10, 10], lambda in [0, 1] with both ends drawn
 # explicitly. The frame is built in d = C from the basis U = I, whose
-# rows are exact and take no factorisation at C = 1000; stationarity
+# rows are exact and take no factorisation at C = 2000; stationarity
 # does not depend on the basis. The bounds were fixed before the first
 # run: the oracle-check tolerances are 1e-8 on |grad| and 1e-10 on the
 # same-class residual.
@@ -574,7 +588,7 @@ GRAD_ABS = 1e-9  # |grad|
 GRAD_REL = 1e-9  # |grad| / (m |h|)
 SAME_RESIDUAL = 1e-10
 
-domain_classes = st.integers(2, 1000)
+domain_classes = st.integers(2, 2000)
 domain_multipliers = st.floats(math.log(0.05), math.log(100.0)).map(math.exp)
 domain_decays = st.floats(-10.0, 1.0).map(lambda e: 10.0**e)
 domain_lambdas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))

@@ -374,8 +374,9 @@ def test_extract_preserves_order_and_tags():
     records = extract_activations(model, batch)
     assert len(records) == 12
     for k, r in enumerate(records):
-        assert r.lam == batch.lam[k] and r.kind == batch.kind[k]
+        assert r.lam == batch.lam[k]
         assert (r.class_i, r.class_ip) == (y[batch.src_i[k]], y[batch.src_j[k]])
+        assert r.kind == ("same_class" if r.class_i == r.class_ip else "different_class")
         assert r.h.shape == (model.config.width,)
 
 
