@@ -54,6 +54,11 @@ def cmd_theory_solve(args) -> int:
     if args.classes < 2 or args.classes > args.C:
         print("error: --classes must be in [2, C]", file=sys.stderr)
         return 2
+    if args.out and args.summary_out and (
+        os.path.realpath(args.out) == os.path.realpath(args.summary_out)
+    ):
+        print(f"error: --out and --summary-out name the same file {args.out}", file=sys.stderr)
+        return 2
     params = TheoryParams(C=args.C, m=args.m, lambda_h=args.lambda_h, d=args.d)
     frame = build_simplex_etf(args.C, args.d, args.m, args.seed)
     rng = np.random.default_rng(args.seed)
@@ -242,24 +247,51 @@ def cmd_extract(args) -> int:
 # --------------------------------------------------------------------- project
 
 
-def cmd_project(args) -> int:
-    records = theory.features_from_csv(args.features)
+def _check_width(args, w, width) -> None:
+    """Raise if features of this width (None: no rows) cannot be projected
+    through the classifier w."""
+    if width is not None and width != w.shape[1]:
+        raise ValueError(
+            f"{args.features} holds features of width {width}, "
+            f"{args.classifier} holds classifier rows of width {w.shape[1]}"
+        )
+
+
+def _read_projection_rows(args):
     w = read_classifier_csv(args.classifier)
     if w.shape[0] != 3:
         raise ValueError(f"projection needs a 3-row classifier, got {w.shape[0]}")
-    if records and len(records[0].h) != w.shape[1]:
-        raise ValueError(
-            f"{args.features} holds features of width {len(records[0].h)}, "
-            f"{args.classifier} holds classifier rows of width {w.shape[1]}"
-        )
-    center = None
+    return w
+
+
+def cmd_project(args) -> int:
     if args.center_mean:
+        # The center must be known before the first point, so the rows
+        # are held.
+        records = theory.features_from_csv(args.features)
+        w = _read_projection_rows(args)
+        _check_width(args, w, len(records[0].h) if records else None)
         if not records:
             raise ValueError(f"{args.features}: no feature rows to take a mean of")
         # np.mean's axis-0 sum bit for bit, without an n x d copy.
         center = sum(r.h for r in records) / len(records)
-    op = projection.build_projection(w, center)
-    points = projection.project(op, records)
+        points = projection.project(projection.build_projection(w, center), records)
+    else:
+        # Each block of rows is projected as soon as it is parsed. Rows of
+        # the wrong width are parsed and not projected, so that a bad row
+        # later in the file is still the error reported.
+        w = _read_projection_rows(args)
+        op = projection.build_projection(w)
+        blocks, widths = [np.empty((0, 2))], set()
+
+        def each(block):
+            widths.add(len(block[0].h))
+            if len(block[0].h) == w.shape[1]:
+                blocks.append(projection.project(op, block))
+
+        records = theory.features_from_csv(args.features, each)
+        _check_width(args, w, widths.pop() if widths else None)
+        points = np.concatenate(blocks)
     text = projection.points_to_csv(records, points)
     _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote {len(points)} projected points")
@@ -417,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. A bad input or a failed solve prints one
-    'error: <message>' line and returns 1; bad flags return 2."""
+    """Run one command. A bad input, a failed solve or a lack of memory
+    prints one 'error: <message>' line and returns 1; bad flags return 2."""
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
@@ -427,6 +459,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KernelSolveError, trainer.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,10 +10,10 @@ channel amplification used for the perturbed configuration.
 from __future__ import annotations
 
 import array
-import collections
+import collections.abc
 import contextlib
-import itertools
 import math
+import operator
 import os
 import pickle
 import shutil
@@ -239,23 +239,69 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
     )
 
 
-# generate_configuration's temporaries hold about this many floats
-# (512 KB), so its memory is its matrix however many lambda it takes.
+# The rows of a Configuration are made, written and read back in blocks
+# of about this many floats (512 KB), so that no step holds every row.
 _BLOCK_FLOATS = 1 << 16
 
 
-class Configuration(list):
-    """The records of generate_configuration. Their h are row views of one
-    read-only n x d matrix whose row k holds record k's h."""
+def _block_rows(d: int) -> int:
+    """Rows of d floats in one block."""
+    return max(1, _BLOCK_FLOATS // max(d, 1))
 
-    def __init__(self, records, h):
-        super().__init__(records)
-        self._h, self._views = h, [r.h for r in records]
 
-    def feature_matrix(self):
-        """The matrix, or None once a record or its h was replaced."""
-        kept = len(self) == len(self._views) and all(r.h is v for r, v in zip(self, self._views))
-        return self._h if kept else None
+class Configuration(collections.abc.Sequence):
+    """The records of generate_configuration, held as the theorem gives
+    them: the ETF rows and a few coefficients per lambda, never as an
+    n x d matrix. Record k is lambda t = k // s^2 and the classes
+    a = classes[k // s % s], b = classes[k % s] of an s-class subset.
+
+    A record's h is made when it is asked for, with the arithmetic of
+    assemble_feature and amplify: coeff_i[t] * w_a, then += coeff_ip[t] *
+    w_b, then += eps[t] * (w_a + w_b) when amplified. Each class's
+    same-class row, same_coeff * w_a, is made once; its records share it
+    read-only.
+    """
+
+    def __init__(self, rows, classes, lams, same_coeff, coeff_i, coeff_ip, eps=None):
+        self.rows, self.classes, self.lams = rows, classes, lams
+        self.same_coeff, self.coeff_i, self.coeff_ip, self.eps = same_coeff, coeff_i, coeff_ip, eps
+        self.same_rows = {a: same_coeff * rows[a] for a in classes}
+        for h in self.same_rows.values():
+            h.flags.writeable = False
+
+    def __len__(self):
+        return len(self.lams) * len(self.classes) ** 2
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if not -len(self) <= k < len(self):
+            raise IndexError("configuration index out of range")
+        k %= len(self)
+        return next(self.records(k, k + 1))
+
+    def __iter__(self):
+        return self.records()
+
+    def records(self, lo=0, hi=None):
+        """The records lo, ..., hi - 1, whose rows are made a block of
+        about _BLOCK_FLOATS floats at a time."""
+        hi = len(self) if hi is None else hi
+        s, classes = len(self.classes), np.array(self.classes)
+        step = _block_rows(self.rows.shape[1])
+        for first in range(lo, hi, step):
+            k = np.arange(first, min(first + step, hi))
+            t, a, b = k // (s * s), classes[k // s % s], classes[k % s]
+            h = self.coeff_i[t, None] * self.rows[a]
+            h += self.coeff_ip[t, None] * self.rows[b]
+            if self.eps is not None:
+                h += self.eps[t, None] * (self.rows[a] + self.rows[b])
+            for j, i, ip, row in zip(t.tolist(), a.tolist(), b.tolist(), h):
+                if i == ip:
+                    yield FeatureRecord(i, ip, self.lams[j], self.same_rows[i])
+                else:
+                    yield FeatureRecord(i, ip, self.lams[j], row, self.eps is not None)
 
 
 def generate_configuration(
@@ -266,13 +312,8 @@ def generate_configuration(
     amplified: bool = False,
 ) -> Configuration:
     """One feature per (lambda sample, ordered class pair), lambda-major
-    order, with lambda samples shared across pairs.
-
-    The features are written, with the arithmetic of assemble_feature and
-    amplify, into one read-only record-order matrix, a class pair and a
-    lambda block at a time. Every h is a row view of it; all same-class
-    records of one class share one view, so a writer formats it once.
-    """
+    order, with lambda samples shared across pairs; held as the
+    coefficients of one solve (see Configuration)."""
     class_subset = list(class_subset)
     lambda_samples = [float(v) for v in lambda_samples]
     if not class_subset:
@@ -285,31 +326,13 @@ def generate_configuration(
     if params.C != etf.num_classes or params.m != etf.multiplier:
         raise ValueError("solution parameters do not match the supplied ETF")
     (same,), diff = _solve_cells([params], lambda_samples)
-    rows, n, s = etf.rows, len(lambda_samples), len(class_subset)
-    h = np.empty((n * s * s, rows.shape[1]))
-    grid = h.reshape(n, s, s, -1)
-    coeff_i, coeff_ip = diff["coeff_i"][0, :, None], diff["coeff_ip"][0, :, None]
+    eps = None
     if amplified:
-        eps = np.array([epsilon_amplification(lam) for lam in lambda_samples])[:, None]
-    step = max(1, _BLOCK_FLOATS // rows.shape[1])
-    for (ia, a), (ib, b) in itertools.product(enumerate(class_subset), repeat=2):
-        if a == b:
-            grid[:, ia, ib] = same.coeff * rows[a]
-            continue
-        for lo in range(0, n, step):
-            out, block = grid[lo : lo + step, ia, ib], slice(lo, lo + step)
-            np.multiply(coeff_i[block], rows[a], out=out)
-            out += coeff_ip[block] * rows[b]
-            if amplified:
-                out += eps[block] * (rows[a] + rows[b])
-    h.flags.writeable = False
-    same_h = {a: grid[0, ia, ia] for ia, a in enumerate(class_subset)}
-    keys = itertools.product(lambda_samples, class_subset, class_subset)
-    return Configuration([
-        FeatureRecord(a, b, lam, same_h[a]) if a == b
-        else FeatureRecord(a, b, lam, row, amplified)
-        for (lam, a, b), row in zip(keys, h)
-    ], h)
+        eps = np.array([epsilon_amplification(lam) for lam in lambda_samples])
+    return Configuration(
+        etf.rows, class_subset, lambda_samples, same.coeff,
+        diff["coeff_i"][0], diff["coeff_ip"][0], eps,
+    )
 
 
 CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
@@ -362,7 +385,10 @@ def _fork_map(work, blocks) -> list:
     every other in a child made with os.fork, which pickles its result
     back through a pipe. A child's exception is raised here as a
     ValueError with its message, after every child has ended. work must
-    make no BLAS call: a fork copies no thread, and BLAS may have some."""
+    make no BLAS call in a child: a fork copies no thread, and BLAS may
+    have some. What the first block does here (the reader's projection
+    of its own rows, say) may call BLAS. Bulk data goes back through
+    files opened before the fork, not through the pipe."""
     children = []
     try:
         for j, block in enumerate(blocks[1:], 1):
@@ -380,10 +406,8 @@ def _fork_map(work, blocks) -> list:
                         reply = (True, work(block))
                     except Exception as exc:
                         reply = (False, str(exc))
-                    # Protocol 5 reads a contiguous array's bytes into one
-                    # buffer that the array here is a view of: no copy.
                     with open(w, "wb") as fh:
-                        pickle.dump(reply, fh, 5)
+                        pickle.dump(reply, fh)
                 finally:
                     os._exit(0)
             os.close(w)
@@ -404,37 +428,40 @@ def _tags(r) -> str:
     return f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
 
 
-def _write_rows(records, fh) -> None:
-    """One CSV line per record; floats in shortest round-trip form. An h
-    array that several records share (the same-class records of a
-    configuration) is formatted once and its text kept; other rows are
-    not kept once written."""
-    # Keyed by id(h): every h stays alive in records while these are used.
-    shared = {key for key, n in collections.Counter(id(r.h) for r in records).items() if n > 1}
-    texts = {}
+def _row_text(h) -> str:
+    """The h columns of one CSV line: floats in shortest round-trip form."""
+    return ",".join(map(repr, np.asarray(h, dtype=float).tolist()))
+
+
+def _write_rows(records, fh, same_texts) -> None:
+    """One CSV line per record. A same-class record of a class in
+    same_texts is written with that text, unformatted."""
     for r in records:
-        text = texts.get(id(r.h))
-        if text is None:
-            text = ",".join(map(repr, np.asarray(r.h, dtype=float).tolist()))
-            if id(r.h) in shared:
-                texts[id(r.h)] = text
-        fh.write(f"{_tags(r)},{text}\n")
+        text = same_texts.get(r.class_i) if r.class_i == r.class_ip else None
+        fh.write(f"{_tags(r)},{_row_text(r.h) if text is None else text}\n")
 
 
 def features_to_csv(records, path) -> None:
     """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
-    one row per record (see _write_rows); the kind follows from the class
-    pair. The records are cut into one contiguous block per process
-    (_process_count). The first block is written to path, every other to
-    an unnamed temporary file in path's folder, and those are appended to
-    path in order."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to write")
-    d = len(records[0].h)
-    for r in records:
-        if np.shape(r.h) != (d,):
-            raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
+    one row per record; the kind follows from the class pair. The records
+    are cut into one contiguous block per process (_process_count). The
+    first block is written to path, every other to an unnamed temporary
+    file in path's folder, and those are appended to path in order.
+
+    A Configuration is written from its coefficients: each process makes
+    the rows of its own block, _BLOCK_FLOATS floats at a time, and each
+    class's same-class row is formatted once, before any fork."""
+    if isinstance(records, Configuration):
+        d, span = records.rows.shape[1], records.records
+        same_texts = {a: _row_text(h) for a, h in records.same_rows.items()}
+    else:
+        records, same_texts = list(records), {}
+        if not records:
+            raise ValueError("no records to write")
+        d, span = len(records[0].h), lambda lo, hi: records[lo:hi]
+        for r in records:
+            if np.shape(r.h) != (d,):
+                raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
     n = _process_count(len(records) * d)
     cuts = [len(records) * j // n for j in range(n + 1)]
     folder = os.path.dirname(os.path.abspath(path))
@@ -447,7 +474,7 @@ def features_to_csv(records, path) -> None:
         out.flush()
 
         def write(j):
-            _write_rows(records[cuts[j] : cuts[j + 1]], files[j])
+            _write_rows(span(cuts[j], cuts[j + 1]), files[j], same_texts)
             files[j].flush()
 
         _fork_map(write, range(n))
@@ -474,39 +501,56 @@ def _parse_row(raw: bytes, d: int, values) -> tuple:
     return front
 
 
-def _read_rows(path, lo: int, hi: int, d: int):
-    """(fronts, h) of the lines that start in bytes [lo, hi) of path: the
-    _parse_row tuple of each row and its h values as a rows x d array.
-    Lines are numbered as in the whole file, so a malformed row raises
-    _parse_rows' path:line error."""
-    values = array.array("d")
-
-    def block(fh):
-        pos = lo
-        for raw in fh:
-            if pos >= hi:
-                break
-            pos += len(raw)
-            yield raw
-
+def _read_blocks(path, lo: int, hi: int, d: int):
+    """(fronts, h) of each block of about _BLOCK_FLOATS h values among
+    the lines that start in bytes [lo, hi) of path: the _parse_row tuple
+    of each row and its h values as a rows x d array. Lines are numbered
+    as in the whole file, so a malformed row raises _parse_rows'
+    path:line error. Each line is parsed as it is read; none is kept."""
     with open(path, "rb") as fh:
-        first = 1
+        line = 1
         for at in range(0, lo, 1 << 16):
-            first += fh.read(min(lo - at, 1 << 16)).count(b"\n")
-        fronts = _parse_rows(
-            block(fh), path, "feature", lambda raw: _parse_row(raw, d, values), first
-        )
-    return fronts, np.frombuffer(values, dtype=float).reshape(len(fronts), d)
+            line += fh.read(min(lo - at, 1 << 16)).count(b"\n")
+        pos, rows = lo, _block_rows(d)
+
+        def lines():
+            nonlocal pos, line
+            for _ in range(rows):
+                raw = fh.readline() if pos < hi else b""
+                if not raw:
+                    # Also ends a range that the file no longer holds.
+                    pos = max(pos, hi)
+                    return
+                pos, line = pos + len(raw), line + 1
+                yield raw
+
+        while pos < hi:
+            values = array.array("d")
+            fronts = _parse_rows(
+                lines(), path, "feature", lambda raw: _parse_row(raw, d, values), line
+            )
+            if fronts:
+                yield fronts, np.frombuffer(values, dtype=float).reshape(len(fronts), d)
 
 
-def features_from_csv(path) -> list[FeatureRecord]:
+def features_from_csv(path, each=None) -> list[FeatureRecord]:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
     the header's, an unknown kind, a kind that does not follow from the
-    class pair or an amplified flag other than 0/1. The rows are cut at
-    line starts into one contiguous byte range per process
-    (_process_count, estimated from the first row's length); every range
-    but the first is parsed in a child."""
+    class pair or an amplified flag other than 0/1.
+
+    The rows are cut at line starts into one contiguous byte range per
+    process (_process_count, estimated from the first row's length), and
+    each range is parsed in blocks of about _BLOCK_FLOATS floats. Every
+    range but the first is parsed in a child, which writes its h values
+    to an unnamed temporary file (in the temporary directory) opened
+    before the fork; they are read back a block at a time once the child
+    has ended.
+
+    Without each, the records are returned with their h. With each, the
+    records of every block are passed to each(block) in file order, and
+    the records returned carry no h (h is None): no step holds every row.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().decode().strip().split(",")
         if header[:5] != CSV_FRONT:
@@ -523,9 +567,40 @@ def features_from_csv(path) -> list[FeatureRecord]:
             cuts.append(fh.tell())
         cuts.append(size)
     records = []
-    for fronts, h in _fork_map(lambda b: _read_rows(path, *b, d), list(zip(cuts, cuts[1:]))):
-        records += [
+
+    def take(fronts, h):
+        block = [
             FeatureRecord(i, ip, lam, row, amplified)
             for (i, ip, lam, amplified), row in zip(fronts, h)
         ]
+        if each is None:
+            records.extend(block)
+            return
+        each(block)
+        records.extend(FeatureRecord(i, ip, lam, None, amp) for i, ip, lam, amp in fronts)
+
+    with contextlib.ExitStack() as stack:
+        parts = [None] + [stack.enter_context(tempfile.TemporaryFile()) for _ in range(1, n)]
+
+        def read(j):
+            blocks = _read_blocks(path, cuts[j], cuts[j + 1], d)
+            if j == 0:
+                for fronts, h in blocks:
+                    take(fronts, h)
+                return None
+            fronts = []
+            for block, h in blocks:
+                fronts += block
+                parts[j].write(h)
+            parts[j].flush()
+            return fronts
+
+        rows = _block_rows(d)
+        for fronts, part in zip(_fork_map(read, range(n))[1:], parts[1:]):
+            part.seek(0)
+            for lo in range(0, len(fronts), rows):
+                block = fronts[lo : lo + rows]
+                h = np.empty((len(block), d))
+                part.readinto(h)
+                take(block, h)
     return records

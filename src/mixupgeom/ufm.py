@@ -1,16 +1,23 @@
 """Unconstrained-features mixup objective with a fixed classifier.
 
-Per-sample loss, analytic gradient, and an independent gradient-descent
-minimizer used as the oracle for the closed-form solver. The classifier
-is held fixed throughout and carries no decay term.
+Per-sample loss, analytic gradient, an independent gradient-descent
+minimizer used as the oracle for the closed-form solver, and the mean
+objective over a set of records. The classifier is held fixed
+throughout and carries no decay term. A closed-form configuration is
+scored from its coefficients: each of its features is one or two
+classifier rows times scalars, so its logits and norms follow from the
+rows' products, and no feature vector is made.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .theory import _BLOCK_FLOATS, Configuration
 
 
 @dataclass(frozen=True)
@@ -127,29 +134,73 @@ def minimize_per_sample(
     raise ConvergenceError(float(np.linalg.norm(grad)))
 
 
-def total_objective(w, features, cfg: UfmConfig) -> ObjectiveReport:
-    """Mean per-sample value over feature records.
-
-    Accepts any records carrying (h, class_i, class_ip, lam); the
-    per-sample values come from one row-wise log-softmax over the n x d
-    feature matrix and are summed in record order. The matrix is the one
-    generate_configuration's records carry, else the records' h stacked.
-    """
-    h = getattr(features, "feature_matrix", lambda: None)()
-    features = list(features)
-    if not features:
-        raise ValueError("empty feature list")
-    w = np.asarray(w, dtype=float)
-    if h is None:
-        h = np.array([rec.h for rec in features], dtype=float)
-    i = np.array([rec.class_i for rec in features])
-    ip = np.array([rec.class_ip for rec in features])
-    lam = np.array([rec.lam for rec in features], dtype=float)
+def _values(logits, sq_norms, i, ip, lam, lambda_h) -> np.ndarray:
+    """The per-sample values of records with these logits, squared
+    feature norms, class pairs and mixing coefficients."""
     bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
     if bad.size:
         raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
-    logp = _log_softmax(h @ w.T)
-    n = np.arange(len(features))
+    logp = _log_softmax(logits)
+    n = np.arange(len(lam))
     ce = -lam * logp[n, i] - (1.0 - lam) * logp[n, ip]
-    values = ce + 0.5 * cfg.lambda_h * np.einsum("nd,nd->n", h, h)
-    return ObjectiveReport(mean_per_sample=sum(values.tolist()) / len(features))
+    return ce + 0.5 * lambda_h * sq_norms
+
+
+def _stacked_terms(w, features):
+    """_values' arguments for records, from their h stacked."""
+    h = np.array([rec.h for rec in features], dtype=float)
+    i = np.array([rec.class_i for rec in features])
+    ip = np.array([rec.class_ip for rec in features])
+    lam = np.array([rec.lam for rec in features], dtype=float)
+    yield h @ w.T, np.einsum("nd,nd->n", h, h), i, ip, lam
+
+
+def _configuration_terms(w, config: Configuration):
+    """_values' arguments for a Configuration, from its coefficients and
+    a block of lambda at a time: record (t, a, b) has h = A w_a + B w_b,
+    so its logits are A L[a] + B L[b] with L = rows @ w.T and its squared
+    norm is A^2 G[a, a] + B^2 G[b, b] + 2 A B G[a, b] with G = rows @ rows.T."""
+    classes = np.array(config.classes)
+    s, rows = len(classes), config.rows[classes]
+    logits, gram = rows @ w.T, rows @ rows.T
+    norms, same = np.diag(gram), classes[:, None] == classes[None, :]
+    i, ip = np.repeat(classes, s), np.tile(classes, s)
+    lams = np.array(config.lams)
+    step = max(1, _BLOCK_FLOATS // (s * s * logits.shape[1]))
+    for lo in range(0, len(lams), step):
+        block = slice(lo, lo + step)
+        a, b = config.coeff_i[block, None, None], config.coeff_ip[block, None, None]
+        if config.eps is not None:
+            a, b = a + config.eps[block, None, None], b + config.eps[block, None, None]
+        a, b = np.where(same, config.same_coeff, a), np.where(same, 0.0, b)
+        n = len(a) * s * s
+        yield (
+            (a[..., None] * logits[:, None] + b[..., None] * logits[None]).reshape(n, -1),
+            (a * a * norms[:, None] + b * b * norms[None] + 2.0 * a * b * gram).reshape(n),
+            np.tile(i, len(a)), np.tile(ip, len(a)), np.repeat(lams[block], s * s),
+        )
+
+
+def total_objective(w, features, cfg: UfmConfig) -> ObjectiveReport:
+    """Mean per-sample value over feature records.
+
+    Accepts any records carrying (h, class_i, class_ip, lam). For a
+    theory.Configuration the logits and squared norms come from its
+    coefficients, its rows' products with w and their Gram matrix, a
+    block of lambda at a time, so no h is made; for other records from
+    their h stacked into one n x d matrix. Either way the per-sample
+    values come from one row-wise log-softmax and are summed in record
+    order by one sum over every value.
+    """
+    w = np.asarray(w, dtype=float)
+    if isinstance(features, Configuration):
+        terms = _configuration_terms(w, features)
+    else:
+        features = list(features)
+        terms = _stacked_terms(w, features)
+    if not features:
+        raise ValueError("empty feature list")
+    # One sum over one stream of every value, so that blocks round as a
+    # single list would.
+    values = itertools.chain.from_iterable(_values(*t, cfg.lambda_h).tolist() for t in terms)
+    return ObjectiveReport(mean_per_sample=sum(values) / len(features))

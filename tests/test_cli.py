@@ -1,9 +1,11 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mixupgeom import calibration, cli, theory
 from mixupgeom.cli import main, parse_config
 from mixupgeom.etf import build_simplex_etf
 
@@ -115,6 +117,43 @@ def test_theory_solve_writes_summary_without_features(tmp_path, capsys):
     loss = json.loads(summary.read_text())["mean_per_sample_loss"]
     assert f"{loss:.6f}" == stdout.strip()
     assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+@pytest.mark.parametrize("spelling", ["same", "relative", "symlink"])
+def test_theory_solve_refuses_one_file_for_features_and_summary(tmp_path, capsys, spelling):
+    out = tmp_path / "x.csv"
+    summary = {
+        "same": out,
+        "relative": os.path.relpath(out),
+        "symlink": tmp_path / "link.csv",
+    }[spelling]
+    if spelling == "symlink":
+        os.symlink(out, summary)
+    code, stdout, stderr = run(
+        ["theory-solve", "--samples", "2", "--out", str(out), "--summary-out", str(summary)],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: --out and --summary-out name the same file {out}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["theory-solve", "ece"])
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    preds = tmp_path / "preds.csv"
+    preds.write_text("confidence,predicted,label\n0.9,0,0\n")
+    monkeypatch.setattr(cli, "sample_lambdas", exhausted)
+    monkeypatch.setattr(calibration, "ece", exhausted)
+    argv = {
+        "theory-solve": ["theory-solve", "--samples", "3"],
+        "ece": ["ece", "--predictions", str(preds), "--bins", "15"],
+    }[command]
+    assert run(argv, capsys) == (
+        1, "", "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    )
 
 
 def test_oracle_check_small_grid(capsys):
@@ -465,6 +504,81 @@ def test_project_of_a_file_without_rows_writes_the_header(tmp_path, capsys):
     _, result = _project_rows_free_features(tmp_path, capsys)
     assert result == (0, "wrote 0 projected points\n", "")
     assert (tmp_path / "p.csv").read_text() == "class_i,class_ip,lambda,kind,amplified,px,py\n"
+
+
+def _wide_features(path):
+    """theory-wide's feature CSV: C = 10, d = 1000, all 10 classes and 10
+    lambda, 1000 rows of 1000 floats."""
+    params = theory.TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
+    frame = build_simplex_etf(10, 1000, 3.0, seed=0)
+    lams = list(np.random.default_rng(0).uniform(size=10))
+    theory.features_to_csv(theory.generate_configuration(params, frame, range(10), lams), path)
+    return frame.rows[:3]
+
+
+def test_project_of_a_thousand_wide_rows_holds_no_matrix(tmp_path, capsys):
+    # The rows would take 8 MB; each block of about 64K floats is
+    # projected as it is parsed. The bound was fixed before the first run.
+    feats, clf, out = tmp_path / "features.csv", tmp_path / "clf.csv", tmp_path / "p.csv"
+    _write_rows(clf, _wide_features(feats))
+    tracemalloc.start()
+    try:
+        code = main(["project", "--features", str(feats), "--classifier", str(clf),
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == "wrote 1000 projected points\n"
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
+def test_project_in_small_blocks_on_several_processes_keeps_every_byte(
+    tmp_path, capsys, monkeypatch, center
+):
+    feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
+    params = theory.TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    config = theory.generate_configuration(
+        params, frame, [0, 1, 2], [0.0, 0.2, 0.5, 0.7, 1.0], amplified=True
+    )
+    theory.features_to_csv(config, feats)
+    _write_rows(clf, np.random.default_rng(0).normal(size=(3, 100)))
+    argv = ["project", "--features", str(feats), "--classifier", str(clf), *center]
+    assert run([*argv, "--out", str(tmp_path / "p1.csv")], capsys)[0] == 0
+    # 2 rows a block, so that every process reads several.
+    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 250)
+    for n in (1, 2, 3):
+        monkeypatch.setattr(theory, "_process_count", lambda floats: n)
+        out = tmp_path / f"p{n}-small.csv"
+        assert run([*argv, "--out", str(out)], capsys) == (0, "wrote 45 projected points\n", "")
+        assert out.read_bytes() == (tmp_path / "p1.csv").read_bytes()
+    # Every child was waited for.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
+def test_project_names_the_line_of_a_bad_row_in_a_child(
+    tmp_path, capsys, monkeypatch, center, processes
+):
+    feats, clf, out = tmp_path / "features.csv", tmp_path / "clf.csv", tmp_path / "p.csv"
+    good = "0,1,0.5,different_class,0,1.0,2.0,3.0"
+    rows = [good] * 30
+    rows[27] = "0,1,0.5,different_class,0,1.0,2.0"
+    feats.write_text("class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n" + "\n".join(rows))
+    _write_rows(clf, np.eye(3))
+    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 12)
+    monkeypatch.setattr(theory, "_process_count", lambda floats: processes)
+    code, stdout, stderr = run(
+        ["project", "--features", str(feats), "--classifier", str(clf), *center,
+         "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {feats}:29: bad feature row: 2 h values, the header has 3\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -263,49 +263,36 @@ TWO = TheoryParams(C=2, m=1.5, lambda_h=1e-3, d=4)
     ],
     ids=["plain", "amplified", "two-class", "subset-1-0", "subset-4"],
 )
-def test_objective_reads_the_configuration_matrix_as_stacked_copies_would(
-    params, subset, amplified
-):
+def test_objective_from_coefficients_agrees_with_the_stacked_records(params, subset, amplified):
+    # The logits and norms come from the rows' products and Gram matrix,
+    # not from each h, so the sum rounds differently: a few ulps at most.
     frame = build_simplex_etf(params.C, params.d, params.m, seed=1)
     records = generate_configuration(params, frame, subset, [0.0, 0.3, 0.5, 1.0], amplified)
-    h = records.feature_matrix()
-    assert h.shape == (len(records), params.d) and not h.flags.writeable
-    for k, r in enumerate(records):
-        assert np.shares_memory(r.h, h) and r.h.tobytes() == h[k].tobytes()
-    copies = [dataclasses.replace(r, h=r.h.copy()) for r in records]
+    stacked = [dataclasses.replace(r, h=r.h.copy()) for r in records]
     cfg = UfmConfig(lambda_h=params.lambda_h)
-    assert (
-        total_objective(frame.rows, records, cfg).mean_per_sample
-        == total_objective(frame.rows, copies, cfg).mean_per_sample
+    assert total_objective(frame.rows, records, cfg).mean_per_sample == pytest.approx(
+        total_objective(frame.rows, stacked, cfg).mean_per_sample, rel=1e-15, abs=0.0
     )
 
 
-def test_a_changed_configuration_is_stacked_again():
+def test_a_configuration_is_a_sequence_of_records_made_on_demand():
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    cfg = UfmConfig(lambda_h=1e-6)
-
-    def changed(change):
-        records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
-        change(records)
-        assert records.feature_matrix() is None
-        copies = [dataclasses.replace(r, h=r.h.copy()) for r in records]
-        return total_objective(frame.rows, records, cfg), total_objective(frame.rows, copies, cfg)
-
-    def swap(records):
-        records[0], records[1] = records[1], records[0]
-
-    for change in (
-        lambda records: setattr(records[4], "h", records[4].h + 1.0),
-        lambda records: setattr(records[4], "h", records[5].h),
-        swap,
-        lambda records: records.append(records[3]),
-        lambda records: records.pop(),
-    ):
-        got, expected = changed(change)
-        assert got.mean_per_sample == expected.mean_per_sample
-    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3])
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5], amplified=True)
+    listed = list(records)
+    assert len(records) == len(listed) == 18
+    _records_equal([records[k] for k in range(18)], listed)
+    _records_equal([records[k] for k in range(-18, 0)], listed)
+    _records_equal(records[3:11:2], listed[3:11:2])
+    for k in (18, -19):
+        with pytest.raises(IndexError):
+            records[k]
+    # A record is made afresh: changing one changes nothing held.
+    records[5].h[:] = 0.0
+    records[5].lam = 0.9
+    _records_equal(records, listed)
+    # Same-class rows are made once and shared, so they are read-only.
     with pytest.raises(ValueError, match="read-only"):
-        records[1].h[0] = 1.0
+        records[0].h[0] = 1.0
 
 
 def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monkeypatch):
@@ -329,12 +316,13 @@ def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monke
     assert (tmp_path / "features.csv").read_text() == reference_features_csv(records)
 
 
-def test_configuration_and_objective_hold_about_one_matrix():
-    # C = 10, d = 1000, all 10 classes and 10 lambda: 1000 records, an
-    # 8 MB feature matrix. The bound was fixed before the first run.
+def test_configuration_and_objective_at_paper_scale_hold_no_matrix():
+    # C = 10, d = 1000, all 10 classes and the paper's 5000 lambda:
+    # 500 000 records, whose n x d matrix would take 4.0 GB. The bound
+    # was fixed before the first run.
     params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
     frame = build_simplex_etf(10, 1000, 3.0, seed=0)
-    lams = list(np.random.default_rng(0).uniform(size=10))
+    lams = list(np.random.default_rng(0).uniform(size=5000))
     tracemalloc.start()
     try:
         records = generate_configuration(params, frame, range(10), lams)
@@ -342,7 +330,8 @@ def test_configuration_and_objective_hold_about_one_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * (1000 * 1000 * 8)
+    assert len(records) == 500_000
+    assert peak < 8_000_000
 
 
 def reference_features_csv(records) -> str:
@@ -447,7 +436,7 @@ def test_feature_csv_reader_rejects_malformed_rows(tmp_path):
 
 def test_feature_csv_writer_rejects_mixed_widths(tmp_path):
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = generate_configuration(PARAMS, frame, [0, 1], [0.3])
+    records = list(generate_configuration(PARAMS, frame, [0, 1], [0.3]))
     records[2].h = records[2].h[:50]
     with pytest.raises(ValueError, match="shape"):
         features_to_csv(records, tmp_path / "features.csv")
@@ -465,8 +454,10 @@ def _records_equal(a, b):
 @pytest.fixture(params=[2, 3], ids=["2-processes", "3-processes"])
 def processes(request, monkeypatch):
     """Feature-CSV I/O forced onto this many processes, whatever the
-    machine has."""
+    machine has, in blocks of 50 floats, so that each process makes or
+    reads several."""
     monkeypatch.setattr(theory, "_process_count", lambda floats: request.param)
+    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 50)
     return request.param
 
 
@@ -537,7 +528,7 @@ def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_pa
 @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
 def test_feature_csv_writer_error_leaves_no_part_file(tmp_path, processes, where):
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
+    records = list(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
     records[where].lam = "x"
     with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
         features_to_csv(records, tmp_path / "features.csv")
