@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _floattext
 from .theory import CSV_FRONT, _tags
 
 # Triangle vertices as columns: one up, two down, unit norm, zero sum.
@@ -129,7 +130,6 @@ POINTS_HEADER = ",".join(CSV_FRONT + ["px", "py"])
 
 def points_to_csv(features, points: np.ndarray) -> str:
     """The points CSV: each record's tags followed by its projected point."""
-    lines = [POINTS_HEADER]
-    for rec, (px, py) in zip(features, points.tolist()):
-        lines.append(f"{_tags(rec)},{px!r},{py!r}")
+    texts = _floattext.rows_text(points)
+    lines = [POINTS_HEADER, *(f"{_tags(rec)},{text}" for rec, text in zip(features, texts))]
     return "\n".join(lines) + "\n"

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .etf import SimplexEtf, _bad_header, _parse_rows
+from . import _floattext, kernels
+from .etf import SimplexEtf, _bad_header, _finite_floats, _parse_rows
 
 SAME_CLASS = "same_class"
 DIFFERENT_CLASS = "different_class"
@@ -239,8 +239,9 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
     )
 
 
-# The rows of a Configuration are made, written and read back in blocks
-# of about this many floats (512 KB), so that no step holds every row.
+# The rows of a Configuration are made and read back in blocks of about
+# this many floats (512 KB), so that no step holds every row; the writer
+# takes them in smaller blocks of _floattext.CHUNK floats.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -349,7 +350,10 @@ CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
 # -5 to +11% CPU. Where no second CPU is free the extra CPU is extra wall
 # time, and the guest's second CPU came and went within seconds. So a
 # second process starts from 500 000 floats, where a busy machine loses
-# about a tenth at most and an idle one gains a third or more.
+# about a tenth at most and an idle one gains a third or more. Those
+# figures were taken when the writer formatted each float with repr; the
+# numpy formatter in _floattext now takes less time per float, and FLOOR
+# was not measured again.
 FLOOR = 250_000
 
 
@@ -386,9 +390,11 @@ def _fork_map(work, blocks) -> list:
     back through a pipe. A child's exception is raised here as a
     ValueError with its message, after every child has ended. work must
     make no BLAS call in a child: a fork copies no thread, and BLAS may
-    have some. What the first block does here (the reader's projection
-    of its own rows, say) may call BLAS. Bulk data goes back through
-    files opened before the fork, not through the pipe."""
+    have some. The writer's children format with _floattext.rows_text,
+    whose numpy integer arithmetic calls no BLAS. What the first block
+    does here (the reader's projection of its own rows, say) may call
+    BLAS. Bulk data goes back through files opened before the fork, not
+    through the pipe."""
     children = []
     try:
         for j, block in enumerate(blocks[1:], 1):
@@ -428,32 +434,48 @@ def _tags(r) -> str:
     return f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
 
 
-def _row_text(h) -> str:
-    """The h columns of one CSV line: floats in shortest round-trip form."""
-    return ",".join(map(repr, np.asarray(h, dtype=float).tolist()))
-
-
-def _write_rows(records, fh, same_texts) -> None:
-    """One CSV line per record. A same-class record of a class in
-    same_texts is written with that text, unformatted."""
-    for r in records:
-        text = same_texts.get(r.class_i) if r.class_i == r.class_ip else None
-        fh.write(f"{_tags(r)},{_row_text(r.h) if text is None else text}\n")
+def _write_rows(span, lo: int, hi: int, fh, same_texts, d: int) -> None:
+    """The CSV lines of records lo, ..., hi - 1, of d h values each, which
+    span(a, b) gives from a to b - 1. Records are taken, and their h
+    formatted, about _floattext.CHUNK floats at a time. A same-class
+    record of a class in same_texts is written with that text. An h value
+    that is not finite raises ValueError naming its record."""
+    step = max(1, _floattext.CHUNK // max(d, 1))
+    for first in range(lo, hi, step):
+        batch = span(first, min(first + step, hi))
+        texts = [same_texts.get(r.class_i) if r.class_i == r.class_ip else None for r in batch]
+        new = [k for k, text in enumerate(texts) if text is None]
+        h = np.array([batch[k].h for k in new], dtype=float).reshape(len(new), d)
+        bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+        if bad.size:
+            row = h[bad[0]]
+            raise ValueError(
+                f"feature record {first + new[bad[0]]}: "
+                f"value {row[~np.isfinite(row)][0]} is not finite"
+            )
+        for k, text in zip(new, _floattext.rows_text(h)):
+            texts[k] = text
+        fh.write("".join(f"{_tags(r)},{text}\n" for r, text in zip(batch, texts)))
 
 
 def features_to_csv(records, path) -> None:
     """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
-    one row per record; the kind follows from the class pair. The records
-    are cut into one contiguous block per process (_process_count). The
-    first block is written to path, every other to an unnamed temporary
-    file in path's folder, and those are appended to path in order.
+    one row per record; the kind follows from the class pair. An h value
+    that is not finite raises ValueError naming its record, counted from
+    0. The records are cut into one contiguous block per process
+    (_process_count). The first block is written to path, every other to
+    an unnamed temporary file in path's folder, and those are appended to
+    path in order.
 
     A Configuration is written from its coefficients: each process makes
-    the rows of its own block, _BLOCK_FLOATS floats at a time, and each
-    class's same-class row is formatted once, before any fork."""
+    the rows of its own block as _write_rows takes them, and each class's
+    same-class row is formatted once, before any fork."""
     if isinstance(records, Configuration):
-        d, span = records.rows.shape[1], records.records
-        same_texts = {a: _row_text(h) for a, h in records.same_rows.items()}
+        d, span = records.rows.shape[1], lambda lo, hi: list(records.records(lo, hi))
+        same = records.same_rows
+        texts = _floattext.rows_text(np.array(list(same.values())))
+        # A row that is not finite is left to _write_rows, which names it.
+        same_texts = {a: t for a, t in zip(same, texts) if np.isfinite(same[a]).all()}
     else:
         records, same_texts = list(records), {}
         if not records:
@@ -474,7 +496,7 @@ def features_to_csv(records, path) -> None:
         out.flush()
 
         def write(j):
-            _write_rows(span(cuts[j], cuts[j + 1]), files[j], same_texts)
+            _write_rows(span, cuts[j], cuts[j + 1], files[j], same_texts, d)
             files[j].flush()
 
         _fork_map(write, range(n))
@@ -497,7 +519,11 @@ def _parse_row(raw: bytes, d: int, values) -> tuple:
     front = (int(parts[0]), int(parts[1]), float(parts[2]), flag == "1")
     if (kind == SAME_CLASS) != (front[0] == front[1]):
         raise ValueError(f"kind {kind} does not match classes {front[0]} and {front[1]}")
-    values.extend(map(float, parts[5:]))
+    h = list(map(float, parts[5:]))
+    # A sum is finite unless some value is not, or the sum overflows.
+    if not math.isfinite(sum(h)):
+        _finite_floats(h)
+    values.extend(h)
     return front
 
 
@@ -537,7 +563,8 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
     the header's, an unknown kind, a kind that does not follow from the
-    class pair or an amplified flag other than 0/1.
+    class pair, an amplified flag other than 0/1 or an h value that is
+    not finite.
 
     The rows are cut at line starts into one contiguous byte range per
     process (_process_count, estimated from the first row's length), and

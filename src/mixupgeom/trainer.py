@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _floattext
 from .etf import (
     EtfMetrics,
     _bad_header,
@@ -435,8 +436,9 @@ _MODEL_KEYS = "config input_dim num_classes weights biases clf_w clf_b history".
 
 def model_from_json(text: str) -> TrainedModel:
     """Parse model_to_json output. A malformed model raises ValueError
-    naming the missing key, the bad config or the layer whose shape does
-    not chain from input_dim to num_classes."""
+    naming the missing key, the bad config, the layer whose shape does
+    not chain from input_dim to num_classes or the layer that holds a
+    value that is not finite."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("model JSON: expected an object")
@@ -462,12 +464,15 @@ def model_from_json(text: str) -> TrainedModel:
     input_dim, num_classes = int(doc["input_dim"]), int(doc["num_classes"])
     fan_in = input_dim
     for k, (w, b) in enumerate(zip(weights + [clf_w], biases + [clf_b])):
+        name = "classifier" if k == len(weights) else f"layer {k}"
         if b.ndim != 1 or w.shape != (len(b), fan_in):
-            name = "classifier" if k == len(weights) else f"layer {k}"
             raise ValueError(
                 f"model JSON: {name} weights {w.shape} and biases {b.shape} "
                 f"do not chain from width {fan_in}"
             )
+        for what, values in (("weights", w), ("biases", b)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"model JSON: {name} {what} hold a value that is not finite")
         fan_in = len(b)
     if fan_in != num_classes:
         raise ValueError(f"model JSON: {fan_in} classifier rows, {num_classes} classes")
@@ -498,9 +503,8 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels, dtype=int)
     header = "label," + ",".join(f"x_{j}" for j in range(inputs.shape[1]))
-    lines = [header]
-    for y, row in zip(labels.tolist(), inputs.tolist()):
-        lines.append(f"{y}," + ",".join(map(repr, row)))
+    texts = _floattext.rows_text(inputs)
+    lines = [header, *(f"{y},{text}" for y, text in zip(labels.tolist(), texts))]
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -363,6 +365,33 @@ def test_extract_rejects_a_model_without_clf_b(tmp_path, capsys):
     code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
     assert code == 1
     assert stderr.startswith("error: model JSON: missing key 'clf_b'")
+
+
+def test_extract_rejects_a_model_with_a_nan_weight(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    doc = json.loads(model.read_text())
+    doc["weights"][0][0][0] = math.nan
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "acts.csv"
+    code, stdout, stderr = _extract(model, data, out, capsys, "--count", "5")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: model JSON: layer 0 weights hold a value that is not finite\n"
+    assert not out.exists()
+
+
+def test_extract_refuses_activations_that_are_not_finite(tmp_path, capsys):
+    # Weights near the largest float overflow the first layer to inf.
+    model, data = _trained(tmp_path, capsys)
+    doc = json.loads(model.read_text())
+    doc["weights"][0] = [[1e308] * len(row) for row in doc["weights"][0]]
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "acts.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout, stderr = _extract(model, data, out, capsys, "--count", "5")
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"error: feature record \d+: value (-?inf|nan) is not finite\n", stderr)
+    assert not out.exists()
+    assert not list(tmp_path.glob(".tmp-*"))
 
 
 def test_trajectory_rejects_a_negative_source_index(tmp_path, capsys):
@@ -753,6 +782,18 @@ def _bad_feature_row(tmp_path, capsys):
     return argv, f"{feats}:4: bad feature row: unknown kind 'mixed'"
 
 
+def _non_finite_feature_row(value):
+    def case(tmp_path, capsys):
+        argv, _ = _bad_feature_row(tmp_path, capsys)
+        feats = tmp_path / "features.csv"
+        feats.write_text(
+            feats.read_text().replace("mixed,0,1.0,2.0", f"different_class,0,1.0,{value}")
+        )
+        return argv, f"{feats}:4: bad feature row: value {value} is not finite"
+
+    return case
+
+
 def _mismatched_kind_row(tmp_path, capsys):
     argv, _ = _bad_feature_row(tmp_path, capsys)
     feats = tmp_path / "features.csv"
@@ -790,10 +831,14 @@ def _bad_prediction_row(tmp_path, capsys):
 @pytest.mark.parametrize(
     "case",
     [
-        _bad_feature_row, _mismatched_kind_row, _bad_dataset_row, _bad_classifier_row,
+        _bad_feature_row, _mismatched_kind_row, _non_finite_feature_row("nan"),
+        _non_finite_feature_row("inf"), _bad_dataset_row, _bad_classifier_row,
         _bad_prediction_row,
     ],
-    ids=["features", "feature kind", "dataset", "classifier", "predictions"],
+    ids=[
+        "features", "feature kind", "feature nan", "feature inf", "dataset", "classifier",
+        "predictions",
+    ],
 )
 def test_every_reader_names_the_path_and_line_of_a_bad_row(tmp_path, capsys, case):
     argv, message = case(tmp_path, capsys)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixupgeom import kernels, theory
+from mixupgeom import _floattext, kernels, theory
 from mixupgeom.etf import SimplexEtf, build_simplex_etf
 from mixupgeom.mixup import BetaSpec, make_mixup_batch
 from mixupgeom.theory import (
@@ -304,15 +304,17 @@ def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monke
         assert len(rows) == len(lams) and all(h is rows[0] for h in rows)
     formatted = []
 
-    def counting_repr(value):
-        formatted.append(value)
-        return repr(value)
+    rows_text = _floattext.rows_text
+
+    def counting_rows_text(h):
+        formatted.append(h.size)
+        return rows_text(h)
 
     monkeypatch.setattr(theory, "_process_count", lambda floats: 1)
-    monkeypatch.setattr(theory, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(_floattext, "rows_text", counting_rows_text)
     features_to_csv(records, tmp_path / "features.csv")
     # One row per class and one per lambda and ordered pair, d floats each.
-    assert len(formatted) == (3 + len(lams) * 6) * 100
+    assert sum(formatted) == (3 + len(lams) * 6) * 100
     assert (tmp_path / "features.csv").read_text() == reference_features_csv(records)
 
 
@@ -454,10 +456,11 @@ def _records_equal(a, b):
 @pytest.fixture(params=[2, 3], ids=["2-processes", "3-processes"])
 def processes(request, monkeypatch):
     """Feature-CSV I/O forced onto this many processes, whatever the
-    machine has, in blocks of 50 floats, so that each process makes or
-    reads several."""
+    machine has, in blocks of 50 floats, so that each process makes,
+    formats or reads several."""
     monkeypatch.setattr(theory, "_process_count", lambda floats: request.param)
     monkeypatch.setattr(theory, "_BLOCK_FLOATS", 50)
+    monkeypatch.setattr(_floattext, "CHUNK", 50)
     return request.param
 
 
@@ -505,6 +508,9 @@ def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_pa
     for bad, message in [
         (good.replace("different_class,0,", "different_class,7,"), "amplified"),
         (good.replace("different_class", "same_class"), "kind same_class does not match"),
+        (good.replace(",1.5,", ",nan,", 1), "value nan is not finite"),
+        (good[:-3] + "-inf", "value -inf is not finite"),
+        (good.replace(",1.5,", ",1e999,", 1), "value inf is not finite"),
     ]:
         # 30 rows and a blank line; file line n holds rows[n - 2].
         for bad_lines in ([29], [4], [15, 29], [4, 29]):
@@ -533,6 +539,32 @@ def test_feature_csv_writer_error_leaves_no_part_file(tmp_path, processes, where
     with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
         features_to_csv(records, tmp_path / "features.csv")
     assert os.listdir(tmp_path) == ["features.csv"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_feature_csv_writer_names_the_first_record_that_is_not_finite(tmp_path, processes, value):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = list(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
+    path = tmp_path / "features.csv"
+    # One bad record in the first process's range, in the last one's, in
+    # both, and a same-class record, whose row others share.
+    for bad in ([1], [17], [5, 17], [4]):
+        rows = [r.h for r in records]
+        for k in bad:
+            records[k].h = records[k].h.copy()
+            records[k].h[k] = value
+        with pytest.raises(ValueError, match=f"^feature record {min(bad)}: value {value} is not "):
+            features_to_csv(records, path)
+        assert os.listdir(tmp_path) == ["features.csv"]
+        for r, h in zip(records, rows):
+            r.h = h
+    # A configuration's same-class rows, formatted before any fork.
+    config = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
+    config = theory.Configuration(
+        config.rows, config.classes, config.lams, value, config.coeff_i, config.coeff_ip
+    )
+    with pytest.raises(ValueError, match="^feature record 0: value (nan|-?inf) is not "):
+        features_to_csv(config, path)
 
 
 def test_one_cpu_never_forks(tmp_path, monkeypatch):

@@ -466,6 +466,26 @@ def test_model_from_json_rejects_malformed_models(edit, message):
         model_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "array, at, value, message",
+    [
+        ("weights", (0, 0, 0), math.nan, "layer 0 weights"),
+        ("biases", (1, 3), math.inf, "layer 1 biases"),
+        ("clf_w", (2, 7), -math.inf, "classifier weights"),
+        ("clf_b", (0,), math.nan, "classifier biases"),
+    ],
+)
+def test_model_from_json_rejects_values_that_are_not_finite(array, at, value, message):
+    doc = _model_doc()
+    *path, last = at
+    target = doc[array]
+    for k in path:
+        target = target[k]
+    target[last] = value
+    with pytest.raises(ValueError, match=f"^model JSON: {message} hold a value that is not fin"):
+        model_from_json(json.dumps(doc))
+
+
 def test_default_dataset_spec():
     angles = 2.0 * np.pi * np.arange(3) / 3.0
     means = 4.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
