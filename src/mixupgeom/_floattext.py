@@ -1,4 +1,5 @@
-"""Shortest round-trip text of float64 arrays, byte for byte as repr.
+"""Shortest round-trip text of float64 arrays, byte for byte as repr, and
+its inverse, decimal text read bit for bit as float() reads it.
 
 rows_text formats each row of a 2-D float64 array as
 ",".join(map(repr, row)), about CHUNK floats at a time. A float whose
@@ -8,7 +9,13 @@ integral), and +-0.0, is converted by the common path of Ryu (Ulf Adams,
 arithmetic, and repr's layout is applied to its digits. Every other
 float goes through repr one at a time: exponent form, integral values,
 subnormals, inf and nan, powers of two and Ryu's rare trailing-zeros
-case.
+case. A pass in which fewer than half of the floats can take that path
+goes through repr whole.
+
+floats reads fields of text, about CHUNK at a time: -?D+.D+ in numpy
+integer arithmetic (SWAR digit conversion, then Clinger's exact path or
+Eisel-Lemire), every other field through float(). naturals reads class
+ids of ASCII digits.
 
 uint64 arrays meet only uint64 arrays and np.uint64 scalars, and intp
 arrays only intp arrays and Python ints, which promote alike in numpy 1
@@ -35,7 +42,8 @@ _WIDTH = 28
 
 _U = {
     k: np.uint64(k)
-    for k in (0, 1, 2, 9, 10, 32, 52, 63, 0x7FF, 10**4, 2**32 - 1, 2**52 - 1, 2**52)
+    for k in (0, 1, 2, 3, 7, 8, 9, 10, 16, 32, 52, 53, 56, 63, 0x1E, 0x1FF, 0x7FF, 1000)
+    + (10**4, 10**8, 10**16, 2**32 - 1, 2**52 - 1, 2**52, 2**53)
 }
 
 
@@ -69,7 +77,7 @@ def _tables():
 
 
 _E10, _LOW_Q, _SHIFT, _UNSHIFT, _LIMBS = _tables()
-_POW10 = np.array([10**k for k in range(19)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 # 5 * 10**(k - 1): the least k dropped digits that round up; none for k = 0.
 _HALF = np.array([2**64 - 1] + [5 * 10**k for k in range(18)], dtype=np.uint64)
 
@@ -90,15 +98,14 @@ _ZEROS = _QUADS[0]
 _SUFFIX = np.arange(_WIDTH) >= np.arange(_WIDTH + 1)[:, None]
 
 
-def _digits(bits):
-    """(digits, exponent, fast) of float64 bit patterns: where fast, the
-    shortest digits of the common path of Ryu's d2d as an integer, with
-    |x| = digits * 10**exponent; elsewhere garbage."""
+def _digits(bits, biased):
+    """(digits, exponent, fast) of float64 bit patterns and their biased
+    exponents: where fast, the shortest digits of the common path of
+    Ryu's d2d as an integer, with |x| = digits * 10**exponent; elsewhere
+    garbage."""
     u = _U
-    biased = (bits >> u[52]) & u[0x7FF]
     fast = (biased >= np.uint64(_LO)) & (biased <= np.uint64(_HI))
     row = np.clip(biased.astype(np.intp) - _LO, 0, _HI - _LO)
-    del biased
     v = bits & u[2**52 - 1]
     # Not a power of two, whose interval is asymmetric, and not Ryu's
     # trailing-zeros case: mv = 4 m2 a multiple of 2^q.
@@ -167,9 +174,31 @@ def _text(x, sep):
     for none)."""
     u = _U
     bits = x.view(np.uint64)
-    digits, exponent, fast = _digits(bits)
-    # +-0.0 takes the fast path as 0 * 10**-1.
     zero = (bits << u[1]) == u[0]
+    biased = (bits >> u[52]) & u[0x7FF]
+    # Ryu runs on the floats that may take the fast path: +-0.0, and those
+    # in its exponent range that are not integral.
+    with np.errstate(invalid="ignore"):
+        # trunc of a signalling nan.
+        maybe = x != np.trunc(x)
+    maybe &= (biased >= np.uint64(_LO)) & (biased <= np.uint64(_HI))
+    maybe |= zero
+    if maybe.all():
+        digits, exponent, fast = _digits(bits, biased)
+    else:
+        some = np.flatnonzero(maybe)
+        if 2 * some.size < x.size:
+            # Most floats go through repr: all do, and no layout is made.
+            parts = [""] * (2 * x.size)
+            parts[::2] = sep.tobytes().decode("latin-1")
+            parts[1::2] = map(repr, x.tolist())
+            return "".join(parts).replace("\0", "").encode()
+        digits = np.zeros(x.size, dtype=np.uint64)
+        exponent = np.zeros(x.size, dtype=np.intp)
+        fast = np.zeros(x.size, dtype=bool)
+        digits[some], exponent[some], fast[some] = _digits(bits[some], biased[some])
+    del biased, maybe
+    # +-0.0 takes the fast path as 0 * 10**-1.
     fast |= zero
     digits[zero] = u[0]
     exponent[zero] = -1
@@ -238,3 +267,235 @@ def rows_text(a):
                 sep[0] = 0
             parts.append(_text(x, sep[: x.size]))
         yield from b"".join(parts).decode("ascii").split("\n")
+
+
+# Reading. A field is read from the WINDOW bytes that end at its end, as
+# three little-endian words whose first byte is the least significant:
+# its digits and point (-?D+.D+, the sign apart) fill the window's last
+# bytes, and the bytes before them count as '0'.
+WINDOW = 24
+
+# Every byte b.
+_BYTES = {b: np.uint64(b * 0x0101010101010101) for b in (0x01, 0x1E, 0x30, 0x76, 0x7F, 0x80)}
+# _KEEP_LOW[n] clears the first n bytes of a word; _KEEP[p, j] clears
+# the bytes of word j among the first p of a window.
+_KEEP_LOW = np.array([2**64 - 2 ** (8 * n) for n in range(9)], dtype=np.uint64)
+_KEEP = _KEEP_LOW[np.clip(np.arange(WINDOW + 2)[:, None] - 8 * np.arange(3), 0, 8)]
+# A lone byte 1 at byte k of word j, times _AT[j], puts 8 j + k in the top
+# byte.
+_AT = [np.uint64(sum((8 * j + 7 - k) << 8 * k for k in range(8))) for j in range(3)]
+# Clinger's powers of ten, exact in float64; and 9 * 10**lf, which takes
+# out the digit the point left in a number with lf digits after it.
+_POW10F = np.array([float(10**k) for k in range(WINDOW)])
+_NINES = np.array([9 * 10**k if k < 19 else 0 for k in range(WINDOW)], dtype=np.uint64)
+
+
+def _eisel_lemire_tables():
+    """For each lf: the high and low words of 5**-lf in 128 bits (rounded
+    up, as fast_float's table for -27 <= q < 0), and the biased binary
+    exponent fast_float's power(q) + 1023 gives for q = -lf."""
+    high, low, exponent = [], [], []
+    for lf in range(WINDOW):
+        p = 5**lf
+        t = 1 << 127 if not lf else (1 << p.bit_length() + 127) // p + 1
+        high.append(t >> 64)
+        low.append(t & 2**64 - 1)
+        exponent.append((-217706 * lf >> 16) + 63 + 1023)
+    return tuple(np.array(t, dtype=np.uint64) for t in (high, low, exponent))
+
+
+_EL_HIGH, _EL_LOW, _EL_EXPONENT = _eisel_lemire_tables()
+
+
+def _eight_digits(v):
+    """v, words of eight digit values 0-9 with the first byte the most
+    significant digit, turned into their values in place."""
+    u = _U
+    for mul, shift, mask in (
+        (10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
+        (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+    ):
+        v *= np.uint64(mul)
+        v >>= u[shift]
+        v &= np.uint64(mask)
+    v *= np.uint64(10**4 << 32 | 1)
+    v >>= u[32]
+    return v
+
+
+def _not_digits(v):
+    """Bit 7 set in each byte of v that is not a digit value 0-9, and
+    other bits."""
+    t = v + _BYTES[0x76]
+    t |= v
+    return t
+
+
+def _mul128(a, b):
+    """(high, low) words of the 128-bit products a * b, from 32-bit limbs."""
+    u = _U
+    a_lo, a_hi = a & u[2**32 - 1], a >> u[32]
+    b_lo, b_hi = b & u[2**32 - 1], b >> u[32]
+    ll, hl = a_lo * b_lo, a_hi * b_lo
+    # At most 2**64 - 1.
+    cross = a_lo * b_hi
+    cross += ll >> u[32]
+    cross += hl & u[2**32 - 1]
+    high = a_hi * b_hi
+    high += hl >> u[32]
+    high += cross >> u[32]
+    low = cross << u[32]
+    low |= ll & u[2**32 - 1]
+    return high, low
+
+
+def _eisel_lemire(w, lf):
+    """(bits, fail): the float64 bits of w * 10**-lf for 2**53 < w < 10**19
+    and lf <= 22, by Lemire's algorithm ("Number parsing at a gigabyte per
+    second", Software: Practice and Experience 2021) as fast_float runs
+    it; fail where the value may lie halfway between two floats, and the
+    bits are then garbage. Such w and lf give values from 9e-7 to 1e19,
+    inside the normal range."""
+    u = _U
+    # floor(log2(w)); float(w) may have rounded up to a power of 2.
+    top = w.astype(np.float64).view(np.uint64) >> u[52]
+    top -= np.uint64(1023)
+    top -= ((w >> top) == u[0]).astype(np.uint64)
+    lz = u[63] - top
+    w = w << lz
+    high, low = _mul128(w, _EL_HIGH.take(lf))
+    # The wider approximation, where the first leaves the low 9 bits open.
+    again = np.flatnonzero((high & u[0x1FF]) == u[0x1FF])
+    if again.size:
+        more = _mul128(w[again], _EL_LOW.take(lf[again]))[0]
+        more += low[again]
+        high[again] += (more < low[again]).astype(np.uint64)
+        low[again] = more
+    up = high >> u[63]
+    shift = up + u[9]
+    mantissa = high >> shift
+    # An exact half, which float() rounds to even, needs 10**-lf >= 10**-4
+    # and nothing but zeros below the mantissa.
+    fail = np.zeros(w.size, dtype=bool)
+    near = np.flatnonzero(low <= u[1])
+    if near.size:
+        m = mantissa[near]
+        fail[near] = (lf[near] <= 4) & ((m & u[3]) == u[1]) & ((m << shift[near]) == high[near])
+    mantissa += mantissa & u[1]
+    mantissa >>= u[1]
+    carry = mantissa >> u[53]
+    mantissa >>= carry
+    exponent = _EL_EXPONENT.take(lf)
+    exponent += up
+    exponent += carry
+    exponent -= lz
+    mantissa &= u[2**52 - 1]
+    mantissa |= exponent << u[52]
+    return mantissa, fail
+
+
+def _decimals(text, windows, end, size):
+    """(values, slow) of the fields text[e - s : e]: where not slow, the
+    float of the field bit for bit. windows[i] is text[i : i + WINDOW]."""
+    u, b = _U, _BYTES
+    neg = text[end - np.maximum(size, 1)] == ord("-")
+    body = size - neg
+    ok = (body >= 3) & (body <= WINDOW)
+    pad = WINDOW - np.minimum(body, WINDOW)
+    del body
+    # A row of three words per field: digits to their values and the
+    # point to 0x1E, the bytes before the field to 0.
+    v = windows[end - WINDOW].view("<u8").reshape(-1, 3)
+    v ^= b[0x30]
+    v &= _KEEP.take(pad, axis=0)
+    # A byte 1 at each point, a zero byte of v ^ 0x1E: below 0x80 a byte
+    # + 0x7F has bit 7 set unless it is 0. A byte at or above 0x80 is not
+    # a digit, which rejects the field below.
+    point = v ^ b[0x1E]
+    point += b[0x7F]
+    np.invert(point, out=point)
+    point >>= u[7]
+    point &= b[0x01]
+    # One point, at byte `at` of the window, with a digit on each side.
+    count = point[:, 0] + point[:, 1]
+    count += point[:, 2]
+    count *= b[0x01]
+    ok &= (count >> u[56]) == u[1]
+    np.multiply(point[:, 0], _AT[0], out=count)
+    for j in (1, 2):
+        count += point[:, j] * _AT[j]
+    count >>= u[56]
+    at = count.astype(np.intp)
+    del count
+    ok &= (at > pad) & (at < WINDOW - 1)
+    del pad
+    lf = np.minimum(at, WINDOW - 1, out=at)
+    np.subtract(WINDOW - 1, lf, out=lf)
+    point *= u[0x1E]
+    v ^= point
+    del point
+    bad = _not_digits(v)
+    ok &= ((bad[:, 0] | bad[:, 1] | bad[:, 2]) & b[0x80]) == u[0]
+    del bad
+    # With the point's 0 the digits make n = whole * 10**(lf + 1) + fraction,
+    # below 10**19 where the first word's digits are below 1000.
+    _eight_digits(v)
+    ok &= v[:, 0] < u[1000]
+    n = v[:, 0] * u[10**16]
+    n += v[:, 1] * u[10**8]
+    n += v[:, 2]
+    del v
+    whole = n // _POW10.take(np.minimum(lf + 1, 19))
+    whole *= _NINES.take(lf)
+    n -= whole
+    del whole
+    values = n.astype(np.float64)
+    values /= _POW10F.take(lf)
+    slow = ~ok
+    hard = np.flatnonzero(ok & (n > u[2**53]))
+    if hard.size:
+        bits, fail = _eisel_lemire(n[hard], lf[hard])
+        values[hard] = bits.view(np.float64)
+        slow[hard[fail]] = True
+    values.view(np.uint64)[...] |= neg.astype(np.uint64) << u[63]
+    return values, slow
+
+
+def floats(text, ends, sizes):
+    """float(text[e - s : e].decode()) for each end e and size s of the
+    intp arrays ends and sizes, bit for bit, as a float64 array. text is a
+    1-D uint8 array and every e is at least WINDOW.
+
+    A field -?D+.D+ of at most WINDOW bytes after the sign and at most 18
+    digits after its leading zeros (19 without an integer part) is read
+    in numpy, about CHUNK fields a pass: by Clinger's exact path ("How to
+    read floating point numbers accurately", PLDI 1990), float(w) /
+    10**lf, where its digits w <= 2**53, and by Eisel-Lemire otherwise.
+    Every other field goes through float() one at a time in the same
+    call, which raises float()'s ValueError: exponent forms, '+', '_',
+    whitespace, '.5', '5.', nan, inf, non-ASCII text, and the values
+    Eisel-Lemire finds too close to halfway between two floats."""
+    out = np.empty(ends.size)
+    # The WINDOW bytes from each byte of text on, as a view.
+    windows = np.ndarray(
+        (max(text.size - WINDOW + 1, 0),), dtype=f"V{WINDOW}", buffer=text, strides=(1,)
+    )
+    for lo in range(0, ends.size, CHUNK):
+        end, size = ends[lo : lo + CHUNK], sizes[lo : lo + CHUNK]
+        values, slow = _decimals(text, windows, end, size)
+        for k in np.flatnonzero(slow).tolist():
+            values[k] = float(text[end[k] - size[k] : end[k]].tobytes().decode())
+        out[lo : lo + CHUNK] = values
+    return out
+
+
+def naturals(text, ends, sizes):
+    """(values, ok): int(text[e - s : e]) for each end e and size s whose
+    field is 1 to 8 ASCII digits, as uint64; ok is False, and the value
+    garbage, for every other field. Every e is at least 8."""
+    words = np.ndarray((max(text.size - 7, 0),), dtype="<u8", buffer=text, strides=(1,))
+    v = words[ends - 8]
+    v ^= _BYTES[0x30]
+    v &= _KEEP_LOW.take(np.minimum(np.maximum(8 - sizes, 0), 8))
+    ok = (sizes >= 1) & (sizes <= 8) & ((_not_digits(v) & _BYTES[0x80]) == _U[0])
+    return _eight_digits(v), ok

@@ -68,6 +68,8 @@ def build_projection(
     w = np.asarray(w_rows, dtype=float)
     if w.ndim != 2 or w.shape[0] != 3:
         raise ValueError(f"expected a 3 x d classifier block, got shape {w.shape}")
+    if w.shape[1] < 3:
+        raise ValueError(f"projection needs classifier rows of width 3 or more, got {w.shape[1]}")
     norms = np.linalg.norm(w, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("classifier block has a zero row")

@@ -351,9 +351,10 @@ CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
 # time, and the guest's second CPU came and went within seconds. So a
 # second process starts from 500 000 floats, where a busy machine loses
 # about a tenth at most and an idle one gains a third or more. Those
-# figures were taken when the writer formatted each float with repr; the
-# numpy formatter in _floattext now takes less time per float, and FLOOR
-# was not measured again.
+# figures were taken when the writer formatted each float with repr and
+# the reader parsed each with float(); the numpy formatter and reader in
+# _floattext now take less time per float, and FLOOR was not measured
+# again.
 FLOOR = 250_000
 
 
@@ -434,15 +435,32 @@ def _tags(r) -> str:
     return f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
 
 
+def _front_problem(i, ip, lam: float):
+    """Why class ids i, ip and lambda lam cannot start a feature row, or
+    None."""
+    for c in (i, ip):
+        if c < 0:
+            return f"class {c} is negative"
+    if not 0.0 <= lam <= 1.0:
+        return f"lambda {lam} is not in [0, 1]"
+    return None
+
+
 def _write_rows(span, lo: int, hi: int, fh, same_texts, d: int) -> None:
     """The CSV lines of records lo, ..., hi - 1, of d h values each, which
     span(a, b) gives from a to b - 1. Records are taken, and their h
     formatted, about _floattext.CHUNK floats at a time. A same-class
-    record of a class in same_texts is written with that text. An h value
-    that is not finite raises ValueError naming its record."""
+    record of a class in same_texts is written with that text. A negative
+    class id, a lambda outside [0, 1] or an h value that is not finite
+    raises ValueError naming its record."""
     step = max(1, _floattext.CHUNK // max(d, 1))
     for first in range(lo, hi, step):
         batch = span(first, min(first + step, hi))
+        for k, r in enumerate(batch, first):
+            lam = float(r.lam)
+            if not (0.0 <= lam <= 1.0 and r.class_i >= 0 and r.class_ip >= 0):
+                problem = _front_problem(r.class_i, r.class_ip, lam)
+                raise ValueError(f"feature record {k}: {problem}")
         texts = [same_texts.get(r.class_i) if r.class_i == r.class_ip else None for r in batch]
         new = [k for k, text in enumerate(texts) if text is None]
         h = np.array([batch[k].h for k in new], dtype=float).reshape(len(new), d)
@@ -517,6 +535,9 @@ def _parse_row(raw: bytes, d: int, values) -> tuple:
     if flag not in ("0", "1"):
         raise ValueError(f"amplified must be 0 or 1, got {flag!r}")
     front = (int(parts[0]), int(parts[1]), float(parts[2]), flag == "1")
+    problem = _front_problem(*front[:3])
+    if problem:
+        raise ValueError(problem)
     if (kind == SAME_CLASS) != (front[0] == front[1]):
         raise ValueError(f"kind {kind} does not match classes {front[0]} and {front[1]}")
     h = list(map(float, parts[5:]))
@@ -527,52 +548,153 @@ def _parse_row(raw: bytes, d: int, values) -> tuple:
     return front
 
 
-def _read_blocks(path, lo: int, hi: int, d: int):
-    """(fronts, h) of each block of about _BLOCK_FLOATS h values among
-    the lines that start in bytes [lo, hi) of path: the _parse_row tuple
-    of each row and its h values as a rows x d array. Lines are numbered
-    as in the whole file, so a malformed row raises _parse_rows'
-    path:line error. Each line is parsed as it is read; none is kept."""
+# The reader takes a byte range's text in pieces of about this many bytes
+# (and of at least one line), each parsed in one numpy pass.
+_PIECE_BYTES = 96 << 10
+
+
+def _pieces(fh, lo: int, hi: int):
+    """Bytes [lo, hi) of fh, from a line start, in pieces of whole lines of
+    about _PIECE_BYTES: each a uint8 array of _floattext.WINDOW bytes and
+    then its lines, the last ended by its newline unless it ends the
+    range. One buffer is reused, so a piece holds until the next is asked
+    for. A file that ends early ends the range."""
+    pad = _floattext.WINDOW
+    buf = bytearray(pad + _PIECE_BYTES)
+    fh.seek(lo)
+    have, left = 0, hi - lo
+    while have or left:
+        room = len(buf) - pad - have
+        if left and room:
+            got = fh.readinto(memoryview(buf)[pad + have : pad + have + min(room, left)])
+            have += got
+            left = left - got if got else 0
+        cut = have if not left else buf.rfind(b"\n", pad, pad + have) + 1 - pad
+        if cut > 0:
+            yield np.frombuffer(buf, dtype=np.uint8, count=pad + cut)
+            buf[pad : pad + have - cut] = buf[pad + cut : pad + have]
+            have -= cut
+        elif not room:
+            # A line longer than the buffer. A new buffer, since the last
+            # piece may still be held.
+            buf = buf + bytes(len(buf) - pad)
+
+
+def _fields_are(text, ends, sizes, word: str):
+    """Where the field text[e - s : e] is word."""
+    want = np.frombuffer(word.encode(), dtype=np.uint8)
+    got = text[ends[:, None] - want.size + np.arange(want.size)]
+    return (sizes == want.size) & (got == want).all(axis=1)
+
+
+def _parse_piece(text, d: int):
+    """(fronts, h) of the lines of a piece (see _pieces) as _parse_row reads
+    them, when every line is in the layout features_to_csv writes: d + 5
+    fields, each ended by ',' but the last by '\n'; class ids of 1 to 8
+    ASCII digits; a kind that follows from them; a flag 0 or 1; a lambda
+    in [0, 1] and h values that are finite. None otherwise. The floats are
+    read by _floattext.floats."""
+    pad, k = _floattext.WINDOW, d + 5
+    # Every byte below '-' is a separator in that layout.
+    seps = np.flatnonzero(text[pad:] < ord("-"))
+    if not seps.size or seps.size % k or text[-1] != ord("\n"):
+        return None
+    seps += pad
+    bad = text[seps].reshape(-1, k) != ord(",")
+    bad[:, -1] = text[seps[k - 1 :: k]] != ord("\n")
+    if bad.any():
+        return None
+    ends = seps.reshape(-1, k)
+    sizes = np.diff(seps, prepend=pad - 1).reshape(-1, k) - 1
+    rows = len(ends)
+    classes, ok = _floattext.naturals(text, ends[:, :2].ravel(), sizes[:, :2].ravel())
+    i, ip = classes.reshape(-1, 2).T
+    same = _fields_are(text, ends[:, 3], sizes[:, 3], SAME_CLASS)
+    flag = text[ends[:, 4] - 1]
+    if not (
+        ok.all()
+        and (same == (i == ip)).all()
+        and (same | _fields_are(text, ends[:, 3], sizes[:, 3], DIFFERENT_CLASS)).all()
+        and (sizes[:, 4] == 1).all()
+        and ((flag == ord("0")) | (flag == ord("1"))).all()
+    ):
+        return None
+    # Lambda and the h values, in one call.
+    cols = np.arange(4, k)
+    cols[0] = 2
+    ends, sizes = ends[:, cols].ravel(), sizes[:, cols].ravel()
+    del seps
+    try:
+        floats = _floattext.floats(text, ends, sizes)
+    except ValueError:
+        return None
+    floats = floats.reshape(rows, d + 1)
+    lam, h = floats[:, 0], floats[:, 1:]
+    if not (((lam >= 0.0) & (lam <= 1.0)).all() and np.isfinite(h).all()):
+        return None
+    fronts = list(zip(i.tolist(), ip.tolist(), lam.tolist(), (flag == ord("1")).tolist()))
+    return fronts, h
+
+
+def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
+    """put(fronts, h) for each block of _block_rows(d) rows (the last may
+    hold fewer) among the lines that start in bytes [lo, hi) of path: the
+    _parse_row tuple of each row and its h values as a rows x d array.
+    The text is read in pieces (_pieces), each parsed by _parse_piece or,
+    where it breaks the writer's layout, line by line by _parse_row, so
+    that a malformed row raises _parse_rows' path:line error. Lines are
+    numbered as in the whole file."""
+    rows = _block_rows(d)
+    fronts, h = [], None
     with open(path, "rb") as fh:
         line = 1
         for at in range(0, lo, 1 << 16):
             line += fh.read(min(lo - at, 1 << 16)).count(b"\n")
-        pos, rows = lo, _block_rows(d)
-
-        def lines():
-            nonlocal pos, line
-            for _ in range(rows):
-                raw = fh.readline() if pos < hi else b""
-                if not raw:
-                    # Also ends a range that the file no longer holds.
-                    pos = max(pos, hi)
-                    return
-                pos, line = pos + len(raw), line + 1
-                yield raw
-
-        while pos < hi:
-            values = array.array("d")
-            fronts = _parse_rows(
-                lines(), path, "feature", lambda raw: _parse_row(raw, d, values), line
-            )
-            if fronts:
-                yield fronts, np.frombuffer(values, dtype=float).reshape(len(fronts), d)
+        for text in _pieces(fh, lo, hi):
+            piece = _parse_piece(text, d)
+            if piece is None:
+                lines = text[_floattext.WINDOW :].tobytes().split(b"\n")
+                values = array.array("d")
+                new = _parse_rows(
+                    lines, path, "feature", lambda raw: _parse_row(raw, d, values), line
+                )
+                piece = new, np.frombuffer(values, dtype=float).reshape(len(new), d)
+                line += len(lines) - 1
+            else:
+                line += len(piece[0])
+            new, values = piece
+            at = 0
+            while at < len(new):
+                if h is None:
+                    h = np.empty((rows, d))
+                k = min(rows - len(fronts), len(new) - at)
+                h[len(fronts) : len(fronts) + k] = values[at : at + k]
+                fronts += new[at : at + k]
+                at += k
+                if len(fronts) == rows:
+                    put(fronts, h)
+                    fronts, h = [], None
+    if fronts:
+        put(fronts, h[: len(fronts)])
 
 
 def features_from_csv(path, each=None) -> list[FeatureRecord]:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
     the header's, an unknown kind, a kind that does not follow from the
-    class pair, an amplified flag other than 0/1 or an h value that is
-    not finite.
+    class pair, an amplified flag other than 0/1, a negative class id, a
+    lambda outside [0, 1] or an h value that is not finite.
 
     The rows are cut at line starts into one contiguous byte range per
     process (_process_count, estimated from the first row's length), and
-    each range is parsed in blocks of about _BLOCK_FLOATS floats. Every
-    range but the first is parsed in a child, which writes its h values
-    to an unnamed temporary file (in the temporary directory) opened
-    before the fork; they are read back a block at a time once the child
-    has ended.
+    each range is read in pieces of about _PIECE_BYTES and handed on in
+    blocks of about _BLOCK_FLOATS floats. A piece in the layout the
+    writer makes is parsed in numpy, its floats by _floattext.floats, bit
+    for bit as float() reads them; any other piece line by line, as the
+    records and errors were always read. Every range but the first is
+    parsed in a child, which writes its h values to an unnamed temporary
+    file (in the temporary directory) opened before the fork; they are
+    read back a block at a time once the child has ended.
 
     Without each, the records are returned with their h. With each, the
     records of every block are passed to each(block) in file order, and
@@ -610,15 +732,16 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
         parts = [None] + [stack.enter_context(tempfile.TemporaryFile()) for _ in range(1, n)]
 
         def read(j):
-            blocks = _read_blocks(path, cuts[j], cuts[j + 1], d)
             if j == 0:
-                for fronts, h in blocks:
-                    take(fronts, h)
+                _read_blocks(path, cuts[0], cuts[1], d, take)
                 return None
             fronts = []
-            for block, h in blocks:
-                fronts += block
+
+            def put(block, h):
+                fronts.extend(block)
                 parts[j].write(h)
+
+            _read_blocks(path, cuts[j], cuts[j + 1], d, put)
             parts[j].flush()
             return fronts
 

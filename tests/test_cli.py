@@ -492,6 +492,26 @@ def test_project_names_both_files_when_the_widths_differ(tmp_path, capsys, cente
     assert not out.exists()
 
 
+@pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
+def test_project_through_a_classifier_narrower_than_three_is_one_error_line(
+    tmp_path, capsys, center
+):
+    feats, clf, out = tmp_path / "features.csv", tmp_path / "clf.csv", tmp_path / "p.csv"
+    feats.write_text(
+        "class_i,class_ip,lambda,kind,amplified,h_0,h_1\n0,1,0.5,different_class,0,1.0,2.0\n"
+    )
+    _write_rows(clf, [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    code, stdout, stderr = run(
+        ["project", "--features", str(feats), "--classifier", str(clf), *center,
+         "--out", str(out)],
+        capsys,
+    )
+    assert (code, stdout, stderr) == (
+        1, "", "error: projection needs classifier rows of width 3 or more, got 2\n"
+    )
+    assert not out.exists()
+
+
 def test_project_names_the_line_of_a_malformed_feature_row(tmp_path, capsys):
     feats = tmp_path / "features.csv"
     code, _, _ = run(
@@ -794,6 +814,16 @@ def _non_finite_feature_row(value):
     return case
 
 
+def _bad_feature_front(front, reason):
+    def case(tmp_path, capsys):
+        argv, _ = _bad_feature_row(tmp_path, capsys)
+        feats = tmp_path / "features.csv"
+        feats.write_text(feats.read_text().replace("0,1,0.5,mixed", front))
+        return argv, f"{feats}:4: bad feature row: {reason}"
+
+    return case
+
+
 def _mismatched_kind_row(tmp_path, capsys):
     argv, _ = _bad_feature_row(tmp_path, capsys)
     feats = tmp_path / "features.csv"
@@ -832,12 +862,14 @@ def _bad_prediction_row(tmp_path, capsys):
     "case",
     [
         _bad_feature_row, _mismatched_kind_row, _non_finite_feature_row("nan"),
-        _non_finite_feature_row("inf"), _bad_dataset_row, _bad_classifier_row,
-        _bad_prediction_row,
+        _non_finite_feature_row("inf"),
+        _bad_feature_front("0,1,nan,different_class", "lambda nan is not in [0, 1]"),
+        _bad_feature_front("-1,1,0.5,different_class", "class -1 is negative"),
+        _bad_dataset_row, _bad_classifier_row, _bad_prediction_row,
     ],
     ids=[
-        "features", "feature kind", "feature nan", "feature inf", "dataset", "classifier",
-        "predictions",
+        "features", "feature kind", "feature nan", "feature inf", "feature lambda",
+        "feature class", "dataset", "classifier", "predictions",
     ],
 )
 def test_every_reader_names_the_path_and_line_of_a_bad_row(tmp_path, capsys, case):

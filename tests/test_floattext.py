@@ -1,6 +1,8 @@
+import random
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +114,102 @@ def test_one_pass_holds_about_half_a_megabyte():
     finally:
         tracemalloc.stop()
     assert peak < 768_000
+
+
+def read(strings):
+    """_floattext.floats of the fields of one comma-separated text."""
+    fields = [s.encode() for s in strings]
+    text = np.frombuffer(b"\0" * _floattext.WINDOW + b",".join(fields) + b",", dtype=np.uint8)
+    sizes = np.array([len(f) for f in fields], dtype=np.intp)
+    return _floattext.floats(text, _floattext.WINDOW + np.cumsum(sizes + 1) - 1, sizes)
+
+
+def assert_as_float(strings):
+    got, want = read(strings), np.array([float(s) for s in strings])
+    bad = [(s, g, w) for s, g, w in zip(strings, got.tolist(), want.tolist())
+           if np.float64(g).tobytes() != np.float64(w).tobytes()]
+    assert not bad, bad[:3]
+
+
+def test_reads_reprs_and_decimals_as_float_does():
+    rng = np.random.default_rng(24)
+    draws = rng.uniform(-1.0, 1.0, 200_000) * 10.0 ** rng.integers(-6, 17, 200_000)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(np.float64)
+    assert_as_float([repr(v) for v in draws.tolist() + bits.tolist()])
+    # -?D{1,12}.D{1,20}, leading zeros and all.
+    pick = random.Random(24)
+    assert_as_float([
+        "-" * pick.randint(0, 1)
+        + "".join(pick.choices("0123456789", k=pick.randint(1, 12)))
+        + "."
+        + "".join(pick.choices("0123456789", k=pick.randint(1, 20)))
+        for _ in range(100_000)
+    ])
+
+
+def test_halfway_and_edge_decimals():
+    # Exact halves between two floats (float() rounds them to even), and
+    # their neighbours, at 10**-1 to 10**-4.
+    rng = np.random.default_rng(25)
+    m = rng.integers(2**51, 2**53, 5000).tolist()
+    halves = [f"{a}.5" for a in m] + [f"{a // 2}.25" for a in m] + [f"{a // 2}.75" for a in m]
+    halves += [f"{a // 4}.125" for a in m] + [f"{a // 8}.0625" for a in m]
+    halves += [f"{a}.5000000001" for a in m[:500]] + [f"{a}.4999999999" for a in m[:500]]
+    edges = ["9007199254740993.0", "9007199254740992.0", "9007199254740991.0",
+             "0.000123456789012345678", "0.1", "-0.0", "0.0", "000.5", "1.0",
+             "1234567890123456.8", "123456789012345678.9", "1234567890123456789.5",
+             "0.1234567890123456789", "0.12345678901234567890123", "-9999999999999999999.0",
+             "1.7976931348623157", "4.9406564584124654", "0.0000000000000000000001"]
+    assert_as_float(halves + edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_any_repr_reads_as_float_does(values):
+    assert_as_float([repr(v) for v in values])
+
+
+DECIMALS = st.builds(
+    "{}{}.{}".format,
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", min_size=1, max_size=16),
+    st.text("0123456789", min_size=1, max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DECIMALS, min_size=1, max_size=40))
+def test_any_decimal_reads_as_float_does(strings):
+    assert_as_float(strings)
+
+
+def test_only_fields_off_the_fast_path_go_through_float(monkeypatch):
+    calls = []
+
+    def counting_float(text):
+        calls.append(text)
+        return float(text)
+
+    monkeypatch.setattr(_floattext, "float", counting_float, raising=False)
+    a = np.random.default_rng(26).normal(size=5000)
+    positional = [r for r in map(repr, a.tolist()) if "e" not in r]
+    assert_as_float(positional + ["0.5", "-0.0", "12.25", "00.5"])
+    assert calls == []
+    slow = ["1e-05", "+1.5", "1_0.5", ".5", "5.", "3", "nan", "-inf", " 1.5", "١.٥",
+            "12345678901234567890.5", "0.1234567890123456789012345", "4503599627370496.5"]
+    assert read(slow).tobytes() == np.array([float(s) for s in slow]).tobytes()
+    assert calls == slow
+
+
+def test_a_field_float_cannot_read_raises_its_error():
+    with pytest.raises(ValueError, match=r"^could not convert string to float: '1\.5x'$"):
+        read(["1.5", "1.5x", "2.5"])
+
+
+def test_naturals():
+    fields = [b"0", b"7", b"0042", b"99999999", b"123456789", b"", b"-1", b"1.0", b"+3"]
+    text = np.frombuffer(b"\0" * 8 + b",".join(fields) + b",", dtype=np.uint8)
+    sizes = np.array([len(f) for f in fields], dtype=np.intp)
+    values, ok = _floattext.naturals(text, 8 + np.cumsum(sizes + 1) - 1, sizes)
+    assert ok.tolist() == [True] * 4 + [False] * 5
+    assert values[:4].tolist() == [0, 7, 42, 99999999]

@@ -83,6 +83,14 @@ def test_build_validation():
         build_projection(np.ones((3, 4)), np.zeros(7))
 
 
+def test_build_rejects_classifier_rows_narrower_than_three():
+    # Two columns give the SVD two singular values, not three.
+    with pytest.raises(
+        ValueError, match=r"^projection needs classifier rows of width 3 or more, got 2$"
+    ):
+        build_projection(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+
+
 def test_projected_points_follow_the_span_structure():
     # same-class points sit on the ray through their vertex; a
     # different-class point is exactly the image of its row combination,

@@ -1,8 +1,11 @@
+import array
 import dataclasses
 import math
 import os
 import re
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixupgeom import _floattext, kernels, theory
-from mixupgeom.etf import SimplexEtf, build_simplex_etf
+from mixupgeom.etf import SimplexEtf, _parse_rows, build_simplex_etf
 from mixupgeom.mixup import BetaSpec, make_mixup_batch
 from mixupgeom.theory import (
     DIFFERENT_CLASS,
@@ -36,6 +39,7 @@ from mixupgeom.trainer import (
 from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss, total_objective
 
 PARAMS = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+DATA = Path(__file__).parent / "data"
 
 
 def test_params_validation():
@@ -430,6 +434,11 @@ def test_feature_csv_reader_rejects_malformed_rows(tmp_path):
             good.replace("0,1,0.5,different_class", "2,2,0.5,different_class"),
             "kind different_class does not match classes 2 and 2",
         ),
+        (good.replace("0,1,0.5,", "0,1,nan,"), r"lambda nan is not in \[0, 1\]"),
+        (good.replace("0,1,0.5,", "0,1,1.5,"), r"lambda 1.5 is not in \[0, 1\]"),
+        (good.replace("0,1,0.5,", "0,1,-1e-300,"), r"lambda -1e-300 is not in \[0, 1\]"),
+        (good.replace("0,1,0.5,", "-1,1,0.5,"), "class -1 is negative"),
+        (good.replace("0,1,0.5,", "0,-2,0.5,"), "class -2 is negative"),
     ]:
         path.write_text("\n".join([header, good, good, bad, good]) + "\n")
         with pytest.raises(ValueError, match=f"features.csv:4: bad feature row: {message}"):
@@ -453,14 +462,20 @@ def _records_equal(a, b):
         assert x.h.tobytes() == y.h.tobytes()
 
 
+def _split_io(monkeypatch, n):
+    """Feature-CSV I/O forced onto n processes, whatever the machine has,
+    in blocks of 50 floats and text pieces of 100 bytes, so that each
+    process makes, formats or reads several and a block spans pieces."""
+    monkeypatch.setattr(theory, "_process_count", lambda floats: n)
+    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 50)
+    monkeypatch.setattr(theory, "_PIECE_BYTES", 100)
+    monkeypatch.setattr(_floattext, "CHUNK", 50)
+
+
 @pytest.fixture(params=[2, 3], ids=["2-processes", "3-processes"])
 def processes(request, monkeypatch):
-    """Feature-CSV I/O forced onto this many processes, whatever the
-    machine has, in blocks of 50 floats, so that each process makes,
-    formats or reads several."""
-    monkeypatch.setattr(theory, "_process_count", lambda floats: request.param)
-    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 50)
-    monkeypatch.setattr(_floattext, "CHUNK", 50)
+    """_split_io on 2 or 3 processes."""
+    _split_io(monkeypatch, request.param)
     return request.param
 
 
@@ -511,6 +526,8 @@ def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_pa
         (good.replace(",1.5,", ",nan,", 1), "value nan is not finite"),
         (good[:-3] + "-inf", "value -inf is not finite"),
         (good.replace(",1.5,", ",1e999,", 1), "value inf is not finite"),
+        (good.replace("0,1,0.5,", "0,1,nan,"), r"lambda nan is not in \[0, 1\]"),
+        (good.replace("0,1,0.5,", "-1,1,0.5,"), "class -1 is negative"),
     ]:
         # 30 rows and a blank line; file line n holds rows[n - 2].
         for bad_lines in ([29], [4], [15, 29], [4, 29]):
@@ -565,6 +582,146 @@ def test_feature_csv_writer_names_the_first_record_that_is_not_finite(tmp_path, 
     )
     with pytest.raises(ValueError, match="^feature record 0: value (nan|-?inf) is not "):
         features_to_csv(config, path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lam", math.nan, r"lambda nan is not in \[0, 1\]"),
+        ("lam", -0.5, r"lambda -0.5 is not in \[0, 1\]"),
+        ("class_i", -1, "class -1 is negative"),
+        ("class_ip", -3, "class -3 is negative"),
+    ],
+)
+def test_feature_csv_writer_refuses_a_row_start_the_reader_rejects(
+    tmp_path, processes, field, value, message
+):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = list(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
+    setattr(records[13], field, value)
+    with pytest.raises(ValueError, match=f"^feature record 13: {message}$"):
+        features_to_csv(records, tmp_path / "features.csv")
+    assert os.listdir(tmp_path) == ["features.csv"]
+
+
+def reference_features_from_csv(path) -> list:
+    """The per-line reader features_from_csv replaced: each line read with
+    readline and parsed by theory._parse_row, numbered by etf._parse_rows."""
+    with open(path, "rb") as fh:
+        d = len(fh.readline().split(b",")) - 5
+        values = array.array("d")
+        fronts = _parse_rows(fh, path, "feature", lambda raw: theory._parse_row(raw, d, values), 2)
+    h = np.frombuffer(values, dtype=float).reshape(len(fronts), d)
+    return [theory.FeatureRecord(i, ip, lam, row, a) for (i, ip, lam, a), row in zip(fronts, h)]
+
+
+def _outcome(read, path):
+    """The records read, as their types, fields, lambda bits and h bytes,
+    or the error text."""
+    try:
+        records = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return [
+        (type(r.class_i), type(r.lam), type(r.amplified), r.class_i, r.class_ip,
+         struct.pack("<d", r.lam), r.amplified, r.h.tobytes())
+        for r in records
+    ]
+
+
+_GOOD_ROW = b"0,1,0.5,different_class,0,1.5,-2.25,0.125"
+
+
+def _body(row=_GOOD_ROW, end=b"\n", sep=b"\n"):
+    """The rows of a d = 3 feature CSV: six, the fourth of them row."""
+    rows = [_GOOD_ROW] * 6
+    rows[3] = row
+    return sep.join(rows) + end
+
+
+def _h0(text):
+    return _body(_GOOD_ROW.replace(b",1.5,", b"," + text + b","))
+
+
+PARITY_CASES = {
+    "crlf": _body(end=b"\r\n", sep=b"\r\n"),
+    "blank line": _body(b""),
+    "no final newline": _body(end=b""),
+    "space before": _h0(b" 1.5"),
+    "space after": _h0(b"1.5 "),
+    "plus": _h0(b"+1.5"),
+    "underscore": _h0(b"1_0.5"),
+    "no whole part": _h0(b".5"),
+    "no fraction": _h0(b"5."),
+    "exponent": _h0(b"1e-05"),
+    "integral": _h0(b"3"),
+    "20-digit fraction": _h0(b"0.12345678901234567890"),
+    "non-ASCII digits": _h0("\u0661.\u0665".encode()),
+    "non-ASCII byte": _h0(b"1.5\xff"),
+    "bad text": _h0(b"1.5x"),
+    "d + 1 fields": _body(_GOOD_ROW + b",1.0"),
+    "leading zeros": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"00,01,00.50,")),
+    "plus class": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0,+1,0.5,")),
+    "negative zero lambda": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0,1,-0.0,")),
+}
+GOLDEN_FEATURES = [
+    "practice_activations", "theory_c10_amplified", "theory_c2", "theory_c3_cell_log"
+]
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("name", [*PARITY_CASES, *GOLDEN_FEATURES])
+def test_feature_csv_reader_matches_the_per_line_reader(tmp_path, monkeypatch, name, processes):
+    if name in PARITY_CASES:
+        path = tmp_path / "features.csv"
+        header = b"class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n"
+        path.write_bytes(header + PARITY_CASES[name])
+    else:
+        path = DATA / f"{name}.csv"
+    want = _outcome(reference_features_from_csv, path)
+    if processes > 1:
+        _split_io(monkeypatch, processes)
+    assert _outcome(features_from_csv, path) == want
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_the_writers_layout_is_parsed_without_the_per_line_reader(
+    tmp_path, monkeypatch, processes
+):
+    def per_line(*args):
+        raise AssertionError("a row was parsed line by line")
+
+    path = tmp_path / "features.csv"
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.0, 0.3, 1.0], amplified=True)
+    features_to_csv(records, path)
+    want = _outcome(reference_features_from_csv, path)
+    if processes > 1:
+        _split_io(monkeypatch, processes)
+    monkeypatch.setattr(theory, "_parse_row", per_line)
+    assert _outcome(features_from_csv, path) == want
+    for name in GOLDEN_FEATURES:
+        assert len(features_from_csv(DATA / f"{name}.csv")) > 0
+
+
+def test_reading_a_thousand_by_thousand_file_holds_under_1_6_megabytes(tmp_path, monkeypatch):
+    # One process, as on a single CPU. The bound was fixed before the
+    # first run.
+    monkeypatch.setattr(theory, "_process_count", lambda floats: 1)
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
+    frame = build_simplex_etf(10, 1000, 3.0, seed=0)
+    lams = np.random.default_rng(0).uniform(size=10)
+    path = tmp_path / "features.csv"
+    features_to_csv(generate_configuration(params, frame, range(10), lams), path)
+    rows = []
+    tracemalloc.start()
+    try:
+        records = features_from_csv(path, lambda block: rows.append(len(block)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == sum(rows) == 1000
+    assert peak < 1_600_000
 
 
 def test_one_cpu_never_forks(tmp_path, monkeypatch):
