@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .etf import _bad_header, _parse_rows
+from .etf import _bad_header, _parse_rows, _read_text
 
 DEFAULT_BINS = 15
 PREDICTIONS_HEADER = "confidence,predicted,label"
@@ -84,12 +84,12 @@ def _prediction(line: str) -> tuple:
 def predictions_from_csv(path):
     """(confidences, predicted, labels) of a CSV with the header
     confidence,predicted,label. A row without three fields, with a
-    confidence outside [0, 1] or a negative class id raises ValueError
-    naming path:line."""
-    with open(path) as fh:
-        if fh.readline().strip() != PREDICTIONS_HEADER:
-            raise _bad_header(path, "prediction", PREDICTIONS_HEADER)
-        rows = _parse_rows(fh, path, "prediction", _prediction, start=2)
+    confidence outside [0, 1] or a negative class id, or a line that is
+    not UTF-8, raises ValueError naming path:line."""
+    lines = _read_text(path).split("\n")
+    if lines[0].strip() != PREDICTIONS_HEADER:
+        raise _bad_header(path, "prediction", PREDICTIONS_HEADER)
+    rows = _parse_rows(lines[1:], path, "prediction", _prediction, start=2)
     conf, pred, lab = zip(*rows) if rows else ((), (), ())
     return np.array(conf, dtype=float), np.array(pred, dtype=int), np.array(lab, dtype=int)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration, projection, theory, trainer, ufm
-from .etf import build_simplex_etf, etf_deviation_metrics, read_classifier_csv
+from .etf import _read_text, build_simplex_etf, etf_deviation_metrics, read_classifier_csv
 from .kernels import KernelSolveError
 from .mixup import BetaSpec, make_mixup_batch, mix, sample_lambdas
 from .theory import TheoryParams
@@ -121,8 +121,6 @@ def cmd_oracle_check(args) -> int:
         cfg = ufm.UfmConfig(lambda_h=lh)
         for lam, sol in zip(lams, sols):
             h = theory.assemble_feature(sol, frame, 0, 1).h
-            if args.perturb:
-                h = h + args.perturb
             resid = float(
                 np.linalg.norm(ufm.per_sample_grad(frame.rows, h, 0, 1, lam, cfg))
             )
@@ -193,8 +191,7 @@ def _section(cfg: dict, prefix: str) -> dict:
 
 
 def cmd_train(args) -> int:
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
+    cfg = parse_config(_read_text(args.config))
     spec = trainer.default_dataset_spec(**_section(cfg, "dataset."))
     data = trainer.make_synthetic(spec)
     model = trainer.train(data, trainer.TrainConfig(**_section(cfg, "train.")))
@@ -216,11 +213,10 @@ def _read_model_and_dataset(args):
     """The model and the (inputs, labels) of the dataset named by args; a
     label that is not a class of the model or a dataset whose width is
     not the model's input_dim raises ValueError."""
-    with open(args.model) as fh:
-        model = trainer.model_from_json(fh.read())
-    with open(args.dataset) as fh:
-        text = fh.read()
-    inputs, labels = trainer.dataset_from_csv(text, args.dataset, model.num_classes)
+    model = trainer.model_from_json(_read_text(args.model))
+    inputs, labels = trainer.dataset_from_csv(
+        _read_text(args.dataset), args.dataset, model.num_classes
+    )
     if inputs.shape[1] != model.input_dim:
         raise ValueError(
             f"{args.dataset}: dataset rows have {inputs.shape[1]} inputs, "
@@ -247,51 +243,36 @@ def cmd_extract(args) -> int:
 # --------------------------------------------------------------------- project
 
 
-def _check_width(args, w, width) -> None:
-    """Raise if features of this width (None: no rows) cannot be projected
-    through the classifier w."""
-    if width is not None and width != w.shape[1]:
-        raise ValueError(
-            f"{args.features} holds features of width {width}, "
-            f"{args.classifier} holds classifier rows of width {w.shape[1]}"
-        )
-
-
-def _read_projection_rows(args):
+def cmd_project(args) -> int:
     w = read_classifier_csv(args.classifier)
     if w.shape[0] != 3:
         raise ValueError(f"projection needs a 3-row classifier, got {w.shape[0]}")
-    return w
+    op = projection.build_projection(w)
+    # Without --center-mean each block of rows is projected as it arrives;
+    # with it the blocks are held until the center is known. Rows of the
+    # wrong width are parsed and not kept, so that a bad row later in the
+    # file is still the error reported.
+    blocks, widths = [], set()
 
+    def each(block):
+        widths.add(len(block[0].h))
+        if len(block[0].h) == w.shape[1]:
+            blocks.append(block if args.center_mean else projection.project(op, block))
 
-def cmd_project(args) -> int:
+    records = theory.features_from_csv(args.features, each)
+    if widths and widths != {w.shape[1]}:
+        raise ValueError(
+            f"{args.features} holds features of width {widths.pop()}, "
+            f"{args.classifier} holds classifier rows of width {w.shape[1]}"
+        )
     if args.center_mean:
-        # The center must be known before the first point, so the rows
-        # are held.
-        records = theory.features_from_csv(args.features)
-        w = _read_projection_rows(args)
-        _check_width(args, w, len(records[0].h) if records else None)
         if not records:
             raise ValueError(f"{args.features}: no feature rows to take a mean of")
         # np.mean's axis-0 sum bit for bit, without an n x d copy.
-        center = sum(r.h for r in records) / len(records)
-        points = projection.project(projection.build_projection(w, center), records)
-    else:
-        # Each block of rows is projected as soon as it is parsed. Rows of
-        # the wrong width are parsed and not projected, so that a bad row
-        # later in the file is still the error reported.
-        w = _read_projection_rows(args)
-        op = projection.build_projection(w)
-        blocks, widths = [np.empty((0, 2))], set()
-
-        def each(block):
-            widths.add(len(block[0].h))
-            if len(block[0].h) == w.shape[1]:
-                blocks.append(projection.project(op, block))
-
-        records = theory.features_from_csv(args.features, each)
-        _check_width(args, w, widths.pop() if widths else None)
-        points = np.concatenate(blocks)
+        center = sum(r.h for block in blocks for r in block) / len(records)
+        op = projection.build_projection(w, center)
+        blocks = [projection.project(op, block) for block in blocks]
+    points = np.concatenate([np.empty((0, 2)), *blocks])
     text = projection.points_to_csv(records, points)
     _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote {len(points)} projected points")
@@ -392,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol-grad", type=float, default=1e-8)
     p.add_argument("--tol-same", type=float, default=1e-10)
-    p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("train", help="train the MLP from a config file")

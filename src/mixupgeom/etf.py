@@ -90,6 +90,26 @@ def _bad_header(source, what: str, expected: str) -> ValueError:
     return ValueError(f"{source}:1: expected {what} header {expected!r}")
 
 
+def _utf8(raw: bytes, source, lineno: int) -> str:
+    """raw as UTF-8 text; bytes that are not UTF-8 raise ValueError
+    'source:line: <reason>', the reason counting bytes from raw's start."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}:{lineno}: {exc}") from None
+
+
+def _read_text(path) -> str:
+    """The text of path as open(path).read() gives it from UTF-8. A line
+    whose bytes are not UTF-8 raises _utf8's ValueError naming path:line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        for lineno, line in enumerate(text.split("\n"), 1):
+            _utf8(line.encode(errors="surrogateescape"), path, lineno)
+    return text
+
+
 def _parse_rows(lines, source, what: str, parse, start: int = 1) -> list:
     """[parse(line) for every non-blank line of lines], stripped and
     numbered from start. A ValueError from parse is raised again as
@@ -119,7 +139,8 @@ def _finite_floats(parts) -> list:
 def read_classifier_csv(path) -> np.ndarray:
     """One row per non-blank line, no header. A row that does not parse,
     holds a value that is not finite or is wider or narrower than the
-    first raises ValueError naming path:line."""
+    first, or a line that is not UTF-8, raises ValueError naming
+    path:line."""
     width = None
 
     def parse(line):
@@ -130,8 +151,7 @@ def read_classifier_csv(path) -> np.ndarray:
             raise ValueError(f"{len(row)} values, the first row has {width}")
         return row
 
-    with open(path) as fh:
-        rows = _parse_rows(fh, path, "classifier", parse)
+    rows = _parse_rows(_read_text(path).split("\n"), path, "classifier", parse)
     if not rows:
         raise ValueError(f"{path}: empty classifier file")
     return np.array(rows)

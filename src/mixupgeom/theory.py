@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _floattext, kernels
-from .etf import SimplexEtf, _bad_header, _finite_floats, _parse_rows
+from .etf import SimplexEtf, _bad_header, _finite_floats, _parse_rows, _utf8
 
 SAME_CLASS = "same_class"
 DIFFERENT_CLASS = "different_class"
@@ -275,7 +275,10 @@ class Configuration(collections.abc.Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [self[j] for j in range(*k.indices(len(self)))]
+            start, stop, step = k.indices(len(self))
+            if step == 1:
+                return list(self.records(start, stop))
+            return [self[j] for j in range(start, stop, step)]
         k = operator.index(k)
         if not -len(self) <= k < len(self):
             raise IndexError("configuration index out of range")
@@ -338,23 +341,24 @@ def generate_configuration(
 
 CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
 
-# Floats of text work each process must get. A fork costs CPU whether or
-# not another CPU is free: in a 39 MB process that had run a theory-solve,
-# a fork, exit and wait and the re-faulting of the copy-on-write heap
-# after it took 4.3 ms more CPU than no fork (median of 60), and a child
-# that formats or parses also copies every page it writes. Writing a file
-# and reading it back in two processes against one, medians of 7-15 runs
-# on a 2-vCPU guest that shared its CPUs with other load: 90 000 floats
-# 18-19% more wall time and 12-17% more CPU; 250 000 floats 21-36% less
-# wall, 10-17% more CPU; 500 000 and 1 000 000 floats 37-44% less wall,
-# -5 to +11% CPU. Where no second CPU is free the extra CPU is extra wall
-# time, and the guest's second CPU came and went within seconds. So a
-# second process starts from 500 000 floats, where a busy machine loses
-# about a tenth at most and an idle one gains a third or more. Those
-# figures were taken when the writer formatted each float with repr and
-# the reader parsed each with float(); the numpy formatter and reader in
-# _floattext now take less time per float, and FLOOR was not measured
-# again.
+# Floats of text work each process must get, so that a second process
+# starts at 500 000. A fork costs CPU whether or not another CPU is free:
+# in a 39 MB process that had run a theory-solve, a fork, exit and wait
+# and the re-faulting of the copy-on-write heap after it took 4.3 ms more
+# CPU than no fork (median of 60), and a child that formats or parses
+# also copies every page it writes. The sizes were set when the writer
+# formatted each float with repr and the reader parsed each with float():
+# then, writing a file and reading it back in two processes against one
+# (medians of 7-15 runs on a 2-vCPU guest that shared its CPUs with other
+# load) took 18-19% more wall time at 90 000 floats, 21-36% less at
+# 250 000 and 37-44% less at 500 000 and 1 000 000. With the numpy
+# formatter and reader of _floattext, a theory-wide pass (1 000 000
+# floats written and read back; 20 s e2ebench runs at seed 0 on the same
+# kind of guest) took 0.37-0.40 s with the fork (10 runs), and 3 runs
+# each took 0.60-0.62 s with FLOOR raised so that no second process
+# starts, 0.47-0.48 s with only the reader in one process, 0.49-0.54 s
+# with only the writer in one and 0.76-0.82 s with threads in place of
+# os.fork. Sizes below 1 000 000 floats were not measured again.
 FLOOR = 250_000
 
 
@@ -446,16 +450,15 @@ def _front_problem(i, ip, lam: float):
     return None
 
 
-def _write_rows(span, lo: int, hi: int, fh, same_texts, d: int) -> None:
-    """The CSV lines of records lo, ..., hi - 1, of d h values each, which
-    span(a, b) gives from a to b - 1. Records are taken, and their h
-    formatted, about _floattext.CHUNK floats at a time. A same-class
-    record of a class in same_texts is written with that text. A negative
-    class id, a lambda outside [0, 1] or an h value that is not finite
-    raises ValueError naming its record."""
+def _write_rows(records, lo: int, hi: int, fh, same_texts, d: int) -> None:
+    """The CSV lines of records[lo:hi], of d h values each. Records are
+    sliced, and their h formatted, about _floattext.CHUNK floats at a
+    time. A same-class record of a class in same_texts is written with
+    that text. A negative class id, a lambda outside [0, 1] or an h value
+    that is not finite raises ValueError naming its record."""
     step = max(1, _floattext.CHUNK // max(d, 1))
     for first in range(lo, hi, step):
-        batch = span(first, min(first + step, hi))
+        batch = records[first : min(first + step, hi)]
         for k, r in enumerate(batch, first):
             lam = float(r.lam)
             if not (0.0 <= lam <= 1.0 and r.class_i >= 0 and r.class_ip >= 0):
@@ -486,11 +489,10 @@ def features_to_csv(records, path) -> None:
     path in order.
 
     A Configuration is written from its coefficients: each process makes
-    the rows of its own block as _write_rows takes them, and each class's
-    same-class row is formatted once, before any fork."""
+    the rows of its own block as _write_rows slices them, and each
+    class's same-class row is formatted once, before any fork."""
     if isinstance(records, Configuration):
-        d, span = records.rows.shape[1], lambda lo, hi: list(records.records(lo, hi))
-        same = records.same_rows
+        d, same = records.rows.shape[1], records.same_rows
         texts = _floattext.rows_text(np.array(list(same.values())))
         # A row that is not finite is left to _write_rows, which names it.
         same_texts = {a: t for a, t in zip(same, texts) if np.isfinite(same[a]).all()}
@@ -498,7 +500,7 @@ def features_to_csv(records, path) -> None:
         records, same_texts = list(records), {}
         if not records:
             raise ValueError("no records to write")
-        d, span = len(records[0].h), lambda lo, hi: records[lo:hi]
+        d = len(records[0].h)
         for r in records:
             if np.shape(r.h) != (d,):
                 raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
@@ -514,7 +516,7 @@ def features_to_csv(records, path) -> None:
         out.flush()
 
         def write(j):
-            _write_rows(span, cuts[j], cuts[j + 1], files[j], same_texts, d)
+            _write_rows(records, cuts[j], cuts[j + 1], files[j], same_texts, d)
             files[j].flush()
 
         _fork_map(write, range(n))
@@ -637,15 +639,12 @@ def _parse_piece(text, d: int):
 
 
 def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
-    """put(fronts, h) for each block of _block_rows(d) rows (the last may
-    hold fewer) among the lines that start in bytes [lo, hi) of path: the
-    _parse_row tuple of each row and its h values as a rows x d array.
-    The text is read in pieces (_pieces), each parsed by _parse_piece or,
-    where it breaks the writer's layout, line by line by _parse_row, so
-    that a malformed row raises _parse_rows' path:line error. Lines are
-    numbered as in the whole file."""
-    rows = _block_rows(d)
-    fronts, h = [], None
+    """put(fronts, h) for each piece (_pieces) of the lines that start in
+    bytes [lo, hi) of path that holds a row: the _parse_row tuple of each
+    row and its h values as a rows x d array, in file order. A piece is
+    parsed by _parse_piece or, where it breaks the writer's layout, line
+    by line by _parse_row, so that a malformed row raises _parse_rows'
+    path:line error. Lines are numbered as in the whole file."""
     with open(path, "rb") as fh:
         line = 1
         for at in range(0, lo, 1 << 16):
@@ -662,20 +661,8 @@ def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
                 line += len(lines) - 1
             else:
                 line += len(piece[0])
-            new, values = piece
-            at = 0
-            while at < len(new):
-                if h is None:
-                    h = np.empty((rows, d))
-                k = min(rows - len(fronts), len(new) - at)
-                h[len(fronts) : len(fronts) + k] = values[at : at + k]
-                fronts += new[at : at + k]
-                at += k
-                if len(fronts) == rows:
-                    put(fronts, h)
-                    fronts, h = [], None
-    if fronts:
-        put(fronts, h[: len(fronts)])
+            if piece[0]:
+                put(*piece)
 
 
 def features_from_csv(path, each=None) -> list[FeatureRecord]:
@@ -687,21 +674,22 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
 
     The rows are cut at line starts into one contiguous byte range per
     process (_process_count, estimated from the first row's length), and
-    each range is read in pieces of about _PIECE_BYTES and handed on in
-    blocks of about _BLOCK_FLOATS floats. A piece in the layout the
-    writer makes is parsed in numpy, its floats by _floattext.floats, bit
-    for bit as float() reads them; any other piece line by line, as the
-    records and errors were always read. Every range but the first is
-    parsed in a child, which writes its h values to an unnamed temporary
-    file (in the temporary directory) opened before the fork; they are
-    read back a block at a time once the child has ended.
+    each range is read and handed on in pieces of about _PIECE_BYTES of
+    text (_read_blocks). A piece in the layout the writer makes is parsed
+    in numpy, its floats by _floattext.floats, bit for bit as float()
+    reads them; any other piece line by line, as the records and errors
+    were always read. Every range but the first is parsed in a child,
+    which writes its h values to an unnamed temporary file (in the
+    temporary directory) opened before the fork; they are read back in
+    blocks of about _BLOCK_FLOATS floats once the child has ended.
 
     Without each, the records are returned with their h. With each, the
-    records of every block are passed to each(block) in file order, and
-    the records returned carry no h (h is None): no step holds every row.
+    records of every piece or block are passed to each(block) in file
+    order, every row once and no block empty, and the records returned
+    carry no h (h is None): no step holds every row.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode().strip().split(",")
+        header = _utf8(fh.readline(), path, 1).strip().split(",")
         if header[:5] != CSV_FRONT:
             raise _bad_header(path, "feature", ",".join(CSV_FRONT) + ",h_0,...")
         d = len(header) - 5
@@ -739,7 +727,9 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
 
             def put(block, h):
                 fronts.extend(block)
-                parts[j].write(h)
+                # _parse_piece's h is a column slice; write takes only
+                # contiguous buffers.
+                parts[j].write(np.ascontiguousarray(h))
 
             _read_blocks(path, cuts[j], cuts[j + 1], d, put)
             parts[j].flush()

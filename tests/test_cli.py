@@ -187,20 +187,36 @@ def test_oracle_check_one_cell_at_two_thousand_classes(capsys):
     assert "FAIL" not in stdout
 
 
-def test_oracle_check_negative_control(capsys):
-    code, stdout, _ = run(
+def test_oracle_check_negative_control(capsys, monkeypatch):
+    # Features shifted off the optimum by 0.05 in every component.
+    assemble = theory.assemble_feature
+
+    def shifted(solution, etf, i, ip):
+        record = assemble(solution, etf, i, ip)
+        record.h = record.h + 0.05
+        return record
+
+    monkeypatch.setattr(theory, "assemble_feature", shifted)
+    code, stdout, stderr = run(
         [
             "oracle-check",
             "--C-list", "3",
             "--m-list", "1",
             "--lambda-h-list", "1e-2",
             "--lambda-list", "0.5",
-            "--perturb", "0.05",
         ],
         capsys,
     )
     assert code == 1
     assert "FAIL" in stdout
+    assert re.fullmatch(r"worst residual \S+ exceeds tolerance\n", stderr)
+
+
+def test_oracle_check_has_no_perturb_flag(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["oracle-check", "--perturb", "0.05"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --perturb 0.05" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -595,8 +611,11 @@ def test_project_in_small_blocks_on_several_processes_keeps_every_byte(
     _write_rows(clf, np.random.default_rng(0).normal(size=(3, 100)))
     argv = ["project", "--features", str(feats), "--classifier", str(clf), *center]
     assert run([*argv, "--out", str(tmp_path / "p1.csv")], capsys)[0] == 0
-    # 2 rows a block, so that every process reads several.
+    # About 2 rows a piece of text and 2 rows a block read back from a
+    # child, so that every process hands on several.
     monkeypatch.setattr(theory, "_BLOCK_FLOATS", 250)
+    longest = max(map(len, feats.read_bytes().split(b"\n")))
+    monkeypatch.setattr(theory, "_PIECE_BYTES", 2 * longest)
     for n in (1, 2, 3):
         monkeypatch.setattr(theory, "_process_count", lambda floats: n)
         out = tmp_path / f"p{n}-small.csv"
@@ -618,7 +637,9 @@ def test_project_names_the_line_of_a_bad_row_in_a_child(
     rows[27] = "0,1,0.5,different_class,0,1.0,2.0"
     feats.write_text("class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n" + "\n".join(rows))
     _write_rows(clf, np.eye(3))
+    # About 2 rows a piece of text and 4 rows a block read back.
     monkeypatch.setattr(theory, "_BLOCK_FLOATS", 12)
+    monkeypatch.setattr(theory, "_PIECE_BYTES", 80)
     monkeypatch.setattr(theory, "_process_count", lambda floats: processes)
     code, stdout, stderr = run(
         ["project", "--features", str(feats), "--classifier", str(clf), *center,
@@ -628,6 +649,17 @@ def test_project_names_the_line_of_a_bad_row_in_a_child(
     assert (code, stdout) == (1, "")
     assert stderr == f"error: {feats}:29: bad feature row: 2 h values, the header has 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
+def test_project_names_the_classifier_when_both_files_are_bad(tmp_path, capsys, center):
+    argv, _ = _bad_feature_row(tmp_path, capsys)
+    clf = tmp_path / "clf.csv"
+    clf.write_text("1.0,0.0,0.0\n0.0,1.0\n0.0,0.0,1.0\n")
+    code, stdout, stderr = run([*argv, *center], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {clf}:2: bad classifier row: 2 values, the first row has 3\n"
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -858,6 +890,64 @@ def _bad_prediction_row(tmp_path, capsys):
     )
 
 
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+
+def _not_utf8_classifier(tmp_path, capsys):
+    clf = tmp_path / "clf.csv"
+    clf.write_bytes(b"1.0,2.0,3.0\n4.0,5.0,6\xff.0\n")
+    return ["etf-metrics", "--classifier", str(clf)], f"{clf}:2: {_NOT_UTF8.format(9)}"
+
+
+def _not_utf8_predictions(tmp_path, capsys):
+    preds = tmp_path / "preds.csv"
+    preds.write_bytes(b"confidence,predicted,label\n0.9,0,0\n0.8,\xff,1\n")
+    return ["ece", "--predictions", str(preds)], f"{preds}:3: {_NOT_UTF8.format(4)}"
+
+
+def _not_utf8_dataset(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    lines = data.read_bytes().split(b"\n")
+    lines[3] = b"\xff" + lines[3]
+    data.write_bytes(b"\n".join(lines))
+    argv = ["extract", "--model", str(model), "--dataset", str(data),
+            "--out", str(tmp_path / "acts.csv")]
+    return argv, f"{data}:4: {_NOT_UTF8.format(0)}"
+
+
+def _not_utf8_model(tmp_path, capsys):
+    model, data = _trained(tmp_path, capsys)
+    lines = model.read_bytes().split(b"\n")
+    at = len(lines[2])
+    lines[2] += b"\xff"
+    model.write_bytes(b"\n".join(lines))
+    argv = ["extract", "--model", str(model), "--dataset", str(data),
+            "--out", str(tmp_path / "acts.csv")]
+    return argv, f"{model}:3: {_NOT_UTF8.format(at)}"
+
+
+def _not_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"train.epochs = 3\ntrain.seed = \xff\n")
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")]
+    return argv, f"{cfg}:2: {_NOT_UTF8.format(13)}"
+
+
+def _not_utf8_feature_header(tmp_path, capsys):
+    argv, _ = _bad_feature_row(tmp_path, capsys)
+    feats = tmp_path / "features.csv"
+    feats.write_bytes(feats.read_bytes().replace(b"h_2\n", b"h_\xff\n", 1))
+    at = len("class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_")
+    return argv, f"{feats}:1: {_NOT_UTF8.format(at)}"
+
+
+def _not_utf8_feature_row(tmp_path, capsys):
+    argv, _ = _bad_feature_row(tmp_path, capsys)
+    feats = tmp_path / "features.csv"
+    feats.write_bytes(feats.read_bytes().replace(b"mixed", b"mix\xffed"))
+    return argv, f"{feats}:4: bad feature row: {_NOT_UTF8.format(11)}"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -866,10 +956,14 @@ def _bad_prediction_row(tmp_path, capsys):
         _bad_feature_front("0,1,nan,different_class", "lambda nan is not in [0, 1]"),
         _bad_feature_front("-1,1,0.5,different_class", "class -1 is negative"),
         _bad_dataset_row, _bad_classifier_row, _bad_prediction_row,
+        _not_utf8_classifier, _not_utf8_predictions, _not_utf8_dataset, _not_utf8_model,
+        _not_utf8_config, _not_utf8_feature_header, _not_utf8_feature_row,
     ],
     ids=[
         "features", "feature kind", "feature nan", "feature inf", "feature lambda",
-        "feature class", "dataset", "classifier", "predictions",
+        "feature class", "dataset", "classifier", "predictions", "classifier utf-8",
+        "predictions utf-8", "dataset utf-8", "model utf-8", "config utf-8",
+        "feature header utf-8", "feature utf-8",
     ],
 )
 def test_every_reader_names_the_path_and_line_of_a_bad_row(tmp_path, capsys, case):

@@ -514,6 +514,42 @@ def test_feature_csv_round_trip_in_blocks(tmp_path, processes):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_each_gets_every_row_once_in_file_order_in_no_empty_block(
+    tmp_path, monkeypatch, processes
+):
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5, 0.9], amplified=True)
+    path = tmp_path / "features.csv"
+    features_to_csv(records, path)
+    # Blank lines, skipped by the reader: a range or a piece can hold
+    # nothing else.
+    lines = path.read_bytes().split(b"\n")
+    for k in (1, 2, 9, 10, 11, 20):
+        lines[k : k] = [b""]
+    path.write_bytes(b"\n".join(lines))
+    _split_io(monkeypatch, processes)
+    blocks = []
+    read = features_from_csv(path, blocks.append)
+    assert blocks and all(blocks)
+    _records_equal([r for block in blocks for r in block], records)
+    assert all(r.h is None for r in read)
+    _records_equal([dataclasses.replace(r, h=q.h) for r, q in zip(read, records)], records)
+
+
+def test_a_configuration_slice_is_its_records_bit_for_bit(monkeypatch):
+    # Blocks of 2 rows, so that a slice spans several.
+    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 200)
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    for amplified in (False, True):
+        config = generate_configuration(
+            PARAMS, frame, [2, 0, 1], [0.0, 0.3, 0.5, 1.0], amplified=amplified
+        )
+        for k in (slice(None), slice(3, 17), slice(5, 6), slice(-7, None), slice(10, 3),
+                  slice(1, 30, 4), slice(None, None, -3)):
+            _records_equal(config[k], [config[j] for j in range(*k.indices(len(config)))])
+
+
 def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_path, processes):
     header = "class_i,class_ip,lambda,kind,amplified," + ",".join(
         f"h_{j}" for j in range(12)
