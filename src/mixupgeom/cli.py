@@ -98,6 +98,11 @@ def _parse_list(text: str, cast):
     return values
 
 
+# The tolerances of acceptance criterion 3: the norm of the per-sample
+# gradient at a different-class solution, and the same-class residual.
+GRAD_TOL, SAME_TOL = 1e-8, 1e-10
+
+
 def cmd_oracle_check(args) -> int:
     try:
         cs = _parse_list(args.C_list, int)
@@ -125,13 +130,13 @@ def cmd_oracle_check(args) -> int:
                 np.linalg.norm(ufm.per_sample_grad(frame.rows, h, 0, 1, lam, cfg))
             )
             worst = max(worst, resid)
-            ok = resid <= args.tol_grad
+            ok = resid <= GRAD_TOL
             failed = failed or not ok
             print(
                 f"{C:>4} {m:>6.2f} {lh:>10.1e} {lam:>8.3f} "
                 f"{resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
             )
-        ok = same.residual <= args.tol_same
+        ok = same.residual <= SAME_TOL
         failed = failed or not ok
         print(
             f"{C:>4} {m:>6.2f} {lh:>10.1e} {'same':>8} "
@@ -157,11 +162,11 @@ def _config_keys() -> dict:
     return keys
 
 
-def parse_config(text: str) -> dict:
+def parse_config(text: str, path) -> dict:
     """Flat dotted-key config: one `key = value` per line, # comments.
 
     Unknown keys, duplicate keys and values that do not parse or, for a
-    float key, are not finite are rejected with their line number.
+    float key, are not finite are rejected as 'path:line: <reason>'.
     """
     known = _config_keys()
     out = {}
@@ -170,18 +175,18 @@ def parse_config(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in out:
-            raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
             out[key] = known[key](value)
         except ValueError:
-            raise ValueError(f"line {lineno}: bad value for {key}: {value!r}")
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}")
         if isinstance(out[key], float) and not math.isfinite(out[key]):
-            raise ValueError(f"line {lineno}: bad value for {key}: {value!r} is not finite")
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r} is not finite")
     return out
 
 
@@ -191,7 +196,7 @@ def _section(cfg: dict, prefix: str) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = parse_config(_read_text(args.config))
+    cfg = parse_config(_read_text(args.config), args.config)
     spec = trainer.default_dataset_spec(**_section(cfg, "dataset."))
     data = trainer.make_synthetic(spec)
     model = trainer.train(data, trainer.TrainConfig(**_section(cfg, "train.")))
@@ -211,9 +216,14 @@ def cmd_train(args) -> int:
 
 def _read_model_and_dataset(args):
     """The model and the (inputs, labels) of the dataset named by args; a
-    label that is not a class of the model or a dataset whose width is
-    not the model's input_dim raises ValueError."""
-    model = trainer.model_from_json(_read_text(args.model))
+    malformed model (named '<path>: model JSON: <reason>'), a label that
+    is not a class of the model or a dataset whose width is not the
+    model's input_dim raises ValueError."""
+    text = _read_text(args.model)
+    try:
+        model = trainer.model_from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     inputs, labels = trainer.dataset_from_csv(
         _read_text(args.dataset), args.dataset, model.num_classes
     )
@@ -371,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
         help="comma-separated mixing coefficients",
     )
-    p.add_argument("--tol-grad", type=float, default=1e-8)
-    p.add_argument("--tol-same", type=float, default=1e-10)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("train", help="train the MLP from a config file")

@@ -239,15 +239,10 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
     )
 
 
-# The rows of a Configuration are made and read back in blocks of about
-# this many floats (512 KB), so that no step holds every row; the writer
-# takes them in smaller blocks of _floattext.CHUNK floats.
+# The rows of a Configuration are made in blocks of about this many
+# floats (512 KB), so that no step holds every row; the writer takes them
+# in smaller blocks of _floattext.CHUNK floats.
 _BLOCK_FLOATS = 1 << 16
-
-
-def _block_rows(d: int) -> int:
-    """Rows of d floats in one block."""
-    return max(1, _BLOCK_FLOATS // max(d, 1))
 
 
 class Configuration(collections.abc.Sequence):
@@ -293,7 +288,7 @@ class Configuration(collections.abc.Sequence):
         about _BLOCK_FLOATS floats at a time."""
         hi = len(self) if hi is None else hi
         s, classes = len(self.classes), np.array(self.classes)
-        step = _block_rows(self.rows.shape[1])
+        step = max(1, _BLOCK_FLOATS // max(self.rows.shape[1], 1))
         for first in range(lo, hi, step):
             k = np.arange(first, min(first + step, hi))
             t, a, b = k // (s * s), classes[k // s % s], classes[k % s]
@@ -375,62 +370,68 @@ def _process_count(floats: int) -> int:
 
 
 def _reap(pid: int, fd: int):
-    """The (ok, value) a child made by _fork_map sent through fd, once
-    the child has ended."""
+    """The error text of a child made by _forked, read from fd once the
+    child has ended; empty after a clean run."""
     with open(fd, "rb") as fh:
+        error = fh.read().decode()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code and not error:
+        error = f"feature CSV worker {pid} ended without a result (exit {code})"
+    return error
+
+
+@contextlib.contextmanager
+def _forked(work, n: int, folder, mode: str):
+    """Run work(j, part) for j = 0, ..., n - 1 and yield the parts of
+    j = 1, ..., n - 1, rewound, in order.
+
+    Each part is an unnamed temporary file opened with mode in folder (the
+    temporary directory when folder is None) before the fork, and closed
+    when the with block ends. Every j but 0 runs in a child made with
+    os.fork, which flushes its part and exits 0, or after an exception
+    writes its text to a pipe and exits 1: a child hands back its rows
+    only through its part. j = 0 runs here with part None. Every child is
+    waited for, and then the first child's error is raised here as a
+    ValueError; an exception of j = 0 is raised instead. work must make no
+    BLAS call in a child: a fork copies no thread, and BLAS may have some.
+    The writer's children format with _floattext.rows_text, whose numpy
+    integer arithmetic calls no BLAS; what j = 0 does here (the reader's
+    projection of its own rows, say) may call BLAS."""
+    with contextlib.ExitStack() as stack:
+        parts = [
+            stack.enter_context(tempfile.TemporaryFile(mode, dir=folder)) for _ in range(1, n)
+        ]
+        children = []
         try:
-            reply = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError):
-            reply = None
-    status = os.waitpid(pid, 0)[1]
-    if reply is None:
-        code = os.waitstatus_to_exitcode(status)
-        reply = (False, f"feature CSV worker {pid} ended without a result (exit {code})")
-    return reply
-
-
-def _fork_map(work, blocks) -> list:
-    """[work(block) for block in blocks], the first block run here and
-    every other in a child made with os.fork, which pickles its result
-    back through a pipe. A child's exception is raised here as a
-    ValueError with its message, after every child has ended. work must
-    make no BLAS call in a child: a fork copies no thread, and BLAS may
-    have some. The writer's children format with _floattext.rows_text,
-    whose numpy integer arithmetic calls no BLAS. What the first block
-    does here (the reader's projection of its own rows, say) may call
-    BLAS. Bulk data goes back through files opened before the fork, not
-    through the pipe."""
-    children = []
-    try:
-        for j, block in enumerate(blocks[1:], 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
+            for j, part in enumerate(parts, 1):
+                r, w = os.pipe()
                 try:
+                    pid = os.fork()
+                except OSError:
                     os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
                     try:
-                        reply = (True, work(block))
+                        os.close(r)
+                        work(j, part)
+                        part.flush()
+                        os._exit(0)
                     except Exception as exc:
-                        reply = (False, str(exc))
-                    with open(w, "wb") as fh:
-                        pickle.dump(reply, fh)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
-        results = [work(blocks[0])]
-    finally:
-        replies = [_reap(pid, r) for pid, r in children]
-    for ok, value in replies:
-        if not ok:
-            raise ValueError(value)
-        results.append(value)
-    return results
+                        os.write(w, str(exc).encode())
+                    finally:
+                        os._exit(1)
+                os.close(w)
+                children.append((pid, r))
+            work(0, None)
+        finally:
+            errors = [_reap(pid, r) for pid, r in children]
+        for error in errors:
+            if error:
+                raise ValueError(error)
+        for part in parts:
+            part.seek(0)
+        yield parts
 
 
 def _tags(r) -> str:
@@ -484,9 +485,9 @@ def features_to_csv(records, path) -> None:
     one row per record; the kind follows from the class pair. An h value
     that is not finite raises ValueError naming its record, counted from
     0. The records are cut into one contiguous block per process
-    (_process_count). The first block is written to path, every other to
-    an unnamed temporary file in path's folder, and those are appended to
-    path in order.
+    (_process_count). The first block is written to path, every other by
+    a child of _forked to its part, in path's folder, and the parts are
+    appended to path in order.
 
     A Configuration is written from its coefficients: each process makes
     the rows of its own block as _write_rows slices them, and each
@@ -507,22 +508,17 @@ def features_to_csv(records, path) -> None:
     n = _process_count(len(records) * d)
     cuts = [len(records) * j // n for j in range(n + 1)]
     folder = os.path.dirname(os.path.abspath(path))
-    with open(path, "w") as out, contextlib.ExitStack() as stack:
-        files = [out] + [
-            stack.enter_context(tempfile.TemporaryFile("w+", dir=folder)) for _ in range(1, n)
-        ]
+    with open(path, "w") as out:
         out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]) + "\n")
         # Flushed before the fork, so that no child holds the header.
         out.flush()
 
-        def write(j):
-            _write_rows(records, cuts[j], cuts[j + 1], files[j], same_texts, d)
-            files[j].flush()
+        def write(j, part):
+            _write_rows(records, cuts[j], cuts[j + 1], part or out, same_texts, d)
 
-        _fork_map(write, range(n))
-        for part in files[1:]:
-            part.seek(0)
-            shutil.copyfileobj(part, out)
+        with _forked(write, n, folder, "w+") as parts:
+            for part in parts:
+                shutil.copyfileobj(part, out)
 
 
 def _parse_row(raw: bytes, d: int, values) -> tuple:
@@ -678,15 +674,16 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
     text (_read_blocks). A piece in the layout the writer makes is parsed
     in numpy, its floats by _floattext.floats, bit for bit as float()
     reads them; any other piece line by line, as the records and errors
-    were always read. Every range but the first is parsed in a child,
-    which writes its h values to an unnamed temporary file (in the
-    temporary directory) opened before the fork; they are read back in
-    blocks of about _BLOCK_FLOATS floats once the child has ended.
+    were always read. Every range but the first is parsed by a child of
+    _forked, which writes each piece to its part (in the temporary
+    directory): the piece's tags pickled, then its h values as raw
+    doubles. The parts are read back piece by piece once every child has
+    ended.
 
     Without each, the records are returned with their h. With each, the
-    records of every piece or block are passed to each(block) in file
-    order, every row once and no block empty, and the records returned
-    carry no h (h is None): no step holds every row.
+    records of every piece are passed to each(block) in file order, every
+    row once and no block empty, and the records returned carry no h (h is
+    None): no step holds every row.
     """
     with open(path, "rb") as fh:
         header = _utf8(fh.readline(), path, 1).strip().split(",")
@@ -716,31 +713,20 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
         each(block)
         records.extend(FeatureRecord(i, ip, lam, None, amp) for i, ip, lam, amp in fronts)
 
-    with contextlib.ExitStack() as stack:
-        parts = [None] + [stack.enter_context(tempfile.TemporaryFile()) for _ in range(1, n)]
+    def read(j, part):
+        def put(fronts, h):
+            pickle.dump(fronts, part)
+            # _parse_piece's h is a column slice; write takes only
+            # contiguous buffers.
+            part.write(np.ascontiguousarray(h))
 
-        def read(j):
-            if j == 0:
-                _read_blocks(path, cuts[0], cuts[1], d, take)
-                return None
-            fronts = []
+        _read_blocks(path, cuts[j], cuts[j + 1], d, put if part else take)
 
-            def put(block, h):
-                fronts.extend(block)
-                # _parse_piece's h is a column slice; write takes only
-                # contiguous buffers.
-                parts[j].write(np.ascontiguousarray(h))
-
-            _read_blocks(path, cuts[j], cuts[j + 1], d, put)
-            parts[j].flush()
-            return fronts
-
-        rows = _block_rows(d)
-        for fronts, part in zip(_fork_map(read, range(n))[1:], parts[1:]):
-            part.seek(0)
-            for lo in range(0, len(fronts), rows):
-                block = fronts[lo : lo + rows]
-                h = np.empty((len(block), d))
+    with _forked(read, n, None, "w+b") as parts:
+        for part in parts:
+            while part.peek(1):
+                fronts = pickle.load(part)
+                h = np.empty((len(fronts), d))
                 part.readinto(h)
-                take(block, h)
+                take(fronts, h)
     return records

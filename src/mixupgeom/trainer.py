@@ -436,10 +436,14 @@ _MODEL_KEYS = "config input_dim num_classes weights biases clf_w clf_b history".
 
 def model_from_json(text: str) -> TrainedModel:
     """Parse model_to_json output. A malformed model raises ValueError
-    naming the missing key, the bad config, the layer whose shape does
-    not chain from input_dim to num_classes or the layer that holds a
-    value that is not finite."""
-    doc = json.loads(text)
+    naming the JSON syntax error, the missing key, the bad config, a
+    dimension that is not an integer, the layer whose shape does not
+    chain from input_dim to num_classes, the layer that holds a value
+    that is not finite or a history that is not a list of objects."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"model JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("model JSON: expected an object")
     for key in _MODEL_KEYS:
@@ -447,7 +451,7 @@ def model_from_json(text: str) -> TrainedModel:
             raise ValueError(f"model JSON: missing key {key!r}")
     try:
         cfg = TrainConfig(**doc["config"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model JSON: bad config: {exc}") from None
     try:
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
@@ -461,7 +465,10 @@ def model_from_json(text: str) -> TrainedModel:
             f"model JSON: {len(weights)} weight matrices and {len(biases)} bias "
             f"vectors for {cfg.hidden_layers} hidden layers"
         )
-    input_dim, num_classes = int(doc["input_dim"]), int(doc["num_classes"])
+    for key in ("input_dim", "num_classes"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"model JSON: {key} must be an integer, got {doc[key]!r}")
+    input_dim, num_classes = doc["input_dim"], doc["num_classes"]
     fan_in = input_dim
     for k, (w, b) in enumerate(zip(weights + [clf_w], biases + [clf_b])):
         name = "classifier" if k == len(weights) else f"layer {k}"
@@ -476,6 +483,9 @@ def model_from_json(text: str) -> TrainedModel:
         fan_in = len(b)
     if fan_in != num_classes:
         raise ValueError(f"model JSON: {fan_in} classifier rows, {num_classes} classes")
+    entries = doc["history"]
+    if not (isinstance(entries, list) and all(isinstance(s, dict) for s in entries)):
+        raise ValueError("model JSON: history must be a list of objects")
     try:
         history = [
             EpochStats(
@@ -483,7 +493,7 @@ def model_from_json(text: str) -> TrainedModel:
                 accuracy=s["accuracy"],
                 classifier_metrics=EtfMetrics(s["norm_cv"], s["cosine_std"]),
             )
-            for s in doc["history"]
+            for s in entries
         ]
     except KeyError as exc:
         raise ValueError(f"model JSON: history entry has no key {exc}") from None

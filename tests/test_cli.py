@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -250,10 +251,10 @@ def test_oracle_check_rejects_a_grid_value_that_is_not_a_number(capsys, flag, va
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="line 2.*unknown"):
-        parse_config("train.epochs = 3\ntrain.optimizer = adam\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_config("train.epochs = 3\ntrain.epochs = 4\n")
+    with pytest.raises(ValueError, match="^c.cfg:2: unknown config key 'train.optimizer'$"):
+        parse_config("train.epochs = 3\ntrain.optimizer = adam\n", "c.cfg")
+    with pytest.raises(ValueError, match="^c.cfg:2: duplicate config key 'train.epochs'$"):
+        parse_config("train.epochs = 3\ntrain.epochs = 4\n", "c.cfg")
 
 
 def test_train_extract_project_pipeline(tmp_path, capsys):
@@ -380,7 +381,7 @@ def test_extract_rejects_a_model_without_clf_b(tmp_path, capsys):
     model.write_text(json.dumps(doc))
     code, _, stderr = _extract(model, data, tmp_path / "acts.csv", capsys)
     assert code == 1
-    assert stderr.startswith("error: model JSON: missing key 'clf_b'")
+    assert stderr.startswith(f"error: {model}: model JSON: missing key 'clf_b'")
 
 
 def test_extract_rejects_a_model_with_a_nan_weight(tmp_path, capsys):
@@ -391,8 +392,48 @@ def test_extract_rejects_a_model_with_a_nan_weight(tmp_path, capsys):
     out = tmp_path / "acts.csv"
     code, stdout, stderr = _extract(model, data, out, capsys, "--count", "5")
     assert (code, stdout) == (1, "")
-    assert stderr == "error: model JSON: layer 0 weights hold a value that is not finite\n"
+    assert stderr == (
+        f"error: {model}: model JSON: layer 0 weights hold a value that is not finite\n"
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.replace('"history": [', '"history": 5, "old": ['),
+         "history must be a list of objects"),
+        (lambda t: re.sub(r'"history": \[.*\]', '"history": [1]', t, flags=re.S),
+         "history must be a list of objects"),
+        (lambda t: t.replace('"num_classes": 3', '"num_classes": null'),
+         "num_classes must be an integer, got None"),
+        (lambda t: t.replace('"input_dim": 2', '"input_dim": 2.7'),
+         "input_dim must be an integer, got 2.7"),
+        (lambda t: t.replace('"input_dim": 2', '"input_dim": "x"'),
+         "input_dim must be an integer, got 'x'"),
+        (lambda t: '{"config": {',
+         "Expecting property name enclosed in double quotes: line 1 column 13 (char 12)"),
+        (lambda t: t.replace('"activation": "relu"', '"activation": "foo"'),
+         "bad config: unknown activation 'foo'"),
+    ],
+    ids=["history 5", "history [1]", "num_classes null", "input_dim 2.7", "input_dim x",
+         "cut short", "activation foo"],
+)
+def test_extract_and_trajectory_name_the_model_file_of_a_malformed_model(
+    tmp_path, capsys, edit, message
+):
+    model, data = _trained(tmp_path, capsys)
+    case = tmp_path / "case.json"
+    case.write_text(edit(model.read_text()))
+    out = tmp_path / "a.csv"
+    for argv in (
+        ["extract", "--model", str(case), "--dataset", str(data), "--count", "5"],
+        ["trajectory", "--model", str(case), "--dataset", str(data),
+         "--i", "0", "--j", "50", "--lam", "0.4"],
+    ):
+        code, stdout, stderr = run([*argv, "--out", str(out)], capsys)
+        assert (code, stdout, stderr) == (1, "", f"error: {case}: model JSON: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == ["case.json", "cfg.txt", "data.csv", "model.json"]
 
 
 def test_extract_refuses_activations_that_are_not_finite(tmp_path, capsys):
@@ -611,9 +652,7 @@ def test_project_in_small_blocks_on_several_processes_keeps_every_byte(
     _write_rows(clf, np.random.default_rng(0).normal(size=(3, 100)))
     argv = ["project", "--features", str(feats), "--classifier", str(clf), *center]
     assert run([*argv, "--out", str(tmp_path / "p1.csv")], capsys)[0] == 0
-    # About 2 rows a piece of text and 2 rows a block read back from a
-    # child, so that every process hands on several.
-    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 250)
+    # About 2 rows a piece of text, so that every process hands on several.
     longest = max(map(len, feats.read_bytes().split(b"\n")))
     monkeypatch.setattr(theory, "_PIECE_BYTES", 2 * longest)
     for n in (1, 2, 3):
@@ -637,8 +676,7 @@ def test_project_names_the_line_of_a_bad_row_in_a_child(
     rows[27] = "0,1,0.5,different_class,0,1.0,2.0"
     feats.write_text("class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n" + "\n".join(rows))
     _write_rows(clf, np.eye(3))
-    # About 2 rows a piece of text and 4 rows a block read back.
-    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 12)
+    # About 2 rows a piece of text.
     monkeypatch.setattr(theory, "_PIECE_BYTES", 80)
     monkeypatch.setattr(theory, "_process_count", lambda floats: processes)
     code, stdout, stderr = run(
@@ -649,6 +687,43 @@ def test_project_names_the_line_of_a_bad_row_in_a_child(
     assert (code, stdout) == (1, "")
     assert stderr == f"error: {feats}:29: bad feature row: 2 h values, the header has 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["theory-solve", "project"])
+def test_a_child_that_ends_without_a_result_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command
+):
+    out, parent = tmp_path / "out.csv", os.getpid()
+
+    def dies(work):
+        def in_the_child_only(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return work(*args)
+
+        return in_the_child_only
+
+    if command == "theory-solve":
+        argv = ["theory-solve", "--samples", "20", "--out", str(out)]
+        monkeypatch.setattr(theory, "_write_rows", dies(theory._write_rows))
+    else:
+        feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
+        assert run(["theory-solve", "--samples", "20", "--out", str(feats)], capsys)[0] == 0
+        _write_rows(clf, np.random.default_rng(0).normal(size=(3, 100)))
+        argv = ["project", "--features", str(feats), "--classifier", str(clf), "--out", str(out)]
+        monkeypatch.setattr(theory, "_parse_piece", dies(theory._parse_piece))
+    # The reader's parts go to the temporary directory.
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(theory, "_process_count", lambda floats: 2)
+    files, fds = sorted(os.listdir(tmp_path)), os.listdir("/proc/self/fd")
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"error: feature CSV worker \d+ ended without a result \(exit 3\)\n", stderr)
+    assert sorted(os.listdir(tmp_path)) == files and not os.listdir(tmp_path / "tmp")
+    assert os.listdir("/proc/self/fd") == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
@@ -726,7 +801,7 @@ def test_train_rejects_bad_config(tmp_path, capsys):
         ["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")], capsys
     )
     assert code == 1
-    assert "line 1" in stderr
+    assert stderr == f"error: {cfg}:1: bad value for train.epochs: 'banana'\n"
     cfg.write_text("dataset.input_dim = 0\n")
     code, _, stderr = run(
         ["train", "--config", str(cfg), "--out", str(tmp_path / "m.json")], capsys
@@ -747,19 +822,19 @@ def test_train_rejects_bad_config(tmp_path, capsys):
         ),
         (
             "train.epochs = 0\ndataset.noise_scale = nan\n",
-            "line 2: bad value for dataset.noise_scale: 'nan' is not finite",
+            "{cfg}:2: bad value for dataset.noise_scale: 'nan' is not finite",
         ),
         (
             "dataset.mean_scale = inf\n",
-            "line 1: bad value for dataset.mean_scale: 'inf' is not finite",
+            "{cfg}:1: bad value for dataset.mean_scale: 'inf' is not finite",
         ),
         (
             "train.learning_rate = nan\n",
-            "line 1: bad value for train.learning_rate: 'nan' is not finite",
+            "{cfg}:1: bad value for train.learning_rate: 'nan' is not finite",
         ),
         (
             "train.weight_decay = -inf\n",
-            "line 1: bad value for train.weight_decay: '-inf' is not finite",
+            "{cfg}:1: bad value for train.weight_decay: '-inf' is not finite",
         ),
     ],
     ids=[
@@ -777,7 +852,7 @@ def test_a_run_that_cannot_train_is_one_error_line_and_writes_nothing(
         ["train", "--config", str(cfg), "--out", str(model), "--dataset-out", str(data)],
         capsys,
     )
-    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert (code, stdout, stderr) == (1, "", f"error: {message.format(cfg=cfg)}\n")
     assert os.listdir(tmp_path) == ["cfg.txt"]
 
 

@@ -465,7 +465,7 @@ def _records_equal(a, b):
 def _split_io(monkeypatch, n):
     """Feature-CSV I/O forced onto n processes, whatever the machine has,
     in blocks of 50 floats and text pieces of 100 bytes, so that each
-    process makes, formats or reads several and a block spans pieces."""
+    process makes, formats or reads several."""
     monkeypatch.setattr(theory, "_process_count", lambda floats: n)
     monkeypatch.setattr(theory, "_BLOCK_FLOATS", 50)
     monkeypatch.setattr(theory, "_PIECE_BYTES", 100)
