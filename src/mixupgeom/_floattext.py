@@ -14,8 +14,7 @@ goes through repr whole.
 
 floats reads fields of text, about CHUNK at a time: -?D+.D+ in numpy
 integer arithmetic (SWAR digit conversion, then Clinger's exact path or
-Eisel-Lemire), every other field through float(). naturals reads class
-ids of ASCII digits.
+Eisel-Lemire), every other field through float().
 
 uint64 arrays meet only uint64 arrays and np.uint64 scalars, and intp
 arrays only intp arrays and Python ints, which promote alike in numpy 1
@@ -323,14 +322,6 @@ def _eight_digits(v):
     return v
 
 
-def _not_digits(v):
-    """Bit 7 set in each byte of v that is not a digit value 0-9, and
-    other bits."""
-    t = v + _BYTES[0x76]
-    t |= v
-    return t
-
-
 def _mul128(a, b):
     """(high, low) words of the 128-bit products a * b, from 32-bit limbs."""
     u = _U
@@ -434,7 +425,9 @@ def _decimals(text, windows, end, size):
     point *= u[0x1E]
     v ^= point
     del point
-    bad = _not_digits(v)
+    # Bit 7 set in each byte of v that is not a digit value 0-9.
+    bad = v + b[0x76]
+    bad |= v
     ok &= ((bad[:, 0] | bad[:, 1] | bad[:, 2]) & b[0x80]) == u[0]
     del bad
     # With the point's 0 the digits make n = whole * 10**(lf + 1) + fraction,
@@ -488,14 +481,3 @@ def floats(text, ends, sizes):
         out[lo : lo + CHUNK] = values
     return out
 
-
-def naturals(text, ends, sizes):
-    """(values, ok): int(text[e - s : e]) for each end e and size s whose
-    field is 1 to 8 ASCII digits, as uint64; ok is False, and the value
-    garbage, for every other field. Every e is at least 8."""
-    words = np.ndarray((max(text.size - 7, 0),), dtype="<u8", buffer=text, strides=(1,))
-    v = words[ends - 8]
-    v ^= _BYTES[0x30]
-    v &= _KEEP_LOW.take(np.minimum(np.maximum(8 - sizes, 0), 8))
-    ok = (sizes >= 1) & (sizes <= 8) & ((_not_digits(v) & _BYTES[0x80]) == _U[0])
-    return _eight_digits(v), ok

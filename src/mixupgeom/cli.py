@@ -162,11 +162,12 @@ def _config_keys() -> dict:
     return keys
 
 
-def parse_config(text: str, path) -> dict:
+def parse_config(text: str, path, lines=None) -> dict:
     """Flat dotted-key config: one `key = value` per line, # comments.
 
     Unknown keys, duplicate keys and values that do not parse or, for a
-    float key, are not finite are rejected as 'path:line: <reason>'.
+    float key, are not finite are rejected as 'path:line: <reason>'. The
+    dict lines, when given, gets the line number of each key.
     """
     known = _config_keys()
     out = {}
@@ -187,6 +188,8 @@ def parse_config(text: str, path) -> dict:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}")
         if isinstance(out[key], float) and not math.isfinite(out[key]):
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r} is not finite")
+        if lines is not None:
+            lines[key] = lineno
     return out
 
 
@@ -196,10 +199,19 @@ def _section(cfg: dict, prefix: str) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = parse_config(_read_text(args.config), args.config)
-    spec = trainer.default_dataset_spec(**_section(cfg, "dataset."))
-    data = trainer.make_synthetic(spec)
-    model = trainer.train(data, trainer.TrainConfig(**_section(cfg, "train.")))
+    lines = {}
+    cfg = parse_config(_read_text(args.config), args.config, lines)
+
+    def build(make, prefix):
+        # A value its key alone makes invalid is named 'path:line: key: reason'.
+        try:
+            return make(**_section(cfg, prefix))
+        except trainer.FieldError as exc:
+            key = prefix + exc.field
+            raise ValueError(f"{args.config}:{lines[key]}: {key}: {exc}") from None
+
+    data = trainer.make_synthetic(build(trainer.default_dataset_spec, "dataset."))
+    model = trainer.train(data, build(trainer.TrainConfig, "train."))
     model_text = trainer.model_to_json(model) + "\n"
     _atomic_write(args.out, lambda p: Path(p).write_text(model_text))
     if args.dataset_out:
@@ -262,28 +274,29 @@ def cmd_project(args) -> int:
     # with it the blocks are held until the center is known. Rows of the
     # wrong width are parsed and not kept, so that a bad row later in the
     # file is still the error reported.
-    blocks, widths = [], set()
+    fronts, blocks, widths = [], [], set()
 
-    def each(block):
-        widths.add(len(block[0].h))
-        if len(block[0].h) == w.shape[1]:
-            blocks.append(block if args.center_mean else projection.project(op, block))
+    def each(tags, h):
+        fronts.extend(tags)
+        widths.add(h.shape[1])
+        if h.shape[1] == w.shape[1]:
+            blocks.append(h if args.center_mean else projection.project(op, h))
 
-    records = theory.features_from_csv(args.features, each)
+    theory.features_from_csv(args.features, each)
     if widths and widths != {w.shape[1]}:
         raise ValueError(
             f"{args.features} holds features of width {widths.pop()}, "
             f"{args.classifier} holds classifier rows of width {w.shape[1]}"
         )
     if args.center_mean:
-        if not records:
+        if not fronts:
             raise ValueError(f"{args.features}: no feature rows to take a mean of")
         # np.mean's axis-0 sum bit for bit, without an n x d copy.
-        center = sum(r.h for block in blocks for r in block) / len(records)
+        center = sum(row for h in blocks for row in h) / len(fronts)
         op = projection.build_projection(w, center)
-        blocks = [projection.project(op, block) for block in blocks]
+        blocks = [projection.project(op, h) for h in blocks]
     points = np.concatenate([np.empty((0, 2)), *blocks])
-    text = projection.points_to_csv(records, points)
+    text = projection.points_to_csv(fronts, points)
     _atomic_write(args.out, lambda p: Path(p).write_text(text))
     print(f"wrote {len(points)} projected points")
     return 0

@@ -104,34 +104,33 @@ def project_vector(op: ProjectionOperator, h: np.ndarray) -> np.ndarray:
     return TRIANGLE @ (op.Q @ (h - op.center))
 
 
-# project stacks about this many feature floats (32 KB) at a time, so
-# that its memory stays flat however many records it projects.
+# project takes about this many feature floats (32 KB) at a time, so
+# that its memory stays flat however many rows it projects.
 _BLOCK_FLOATS = 4096
 
 
-def project(op: ProjectionOperator, features) -> np.ndarray:
-    """n x 2 array whose row k is project_vector(op, features[k].h), bit
-    for bit. The records are stacked in blocks of about _BLOCK_FLOATS
-    floats, and numpy runs the stacked products as one matrix-vector
-    product per row, as project_vector does."""
-    shape = op.center.shape
-    for rec in features:
-        if np.shape(rec.h) != shape:
-            raise ValueError(f"feature has shape {np.shape(rec.h)}, expected {shape}")
-    points = np.empty((len(features), 2))
-    rows = max(1, _BLOCK_FLOATS // shape[0])
-    for lo in range(0, len(features), rows):
-        h = np.array([rec.h for rec in features[lo : lo + rows]], dtype=float)
-        h -= op.center
-        points[lo : lo + rows] = (TRIANGLE @ (op.Q @ h[:, :, None]))[:, :, 0]
+def project(op: ProjectionOperator, h) -> np.ndarray:
+    """n x 2 array whose row k is project_vector(op, h[k]), bit for bit,
+    for an n x d array h. The rows are taken in blocks of about
+    _BLOCK_FLOATS floats, and numpy runs each block's products as one
+    matrix-vector product per row, as project_vector does."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[1:] != op.center.shape:
+        raise ValueError(f"features have shape {h.shape}, expected (n, {op.center.size})")
+    points = np.empty((len(h), 2))
+    rows = max(1, _BLOCK_FLOATS // h.shape[1])
+    for lo in range(0, len(h), rows):
+        block = h[lo : lo + rows] - op.center
+        points[lo : lo + rows] = (TRIANGLE @ (op.Q @ block[:, :, None]))[:, :, 0]
     return points
 
 
 POINTS_HEADER = ",".join(CSV_FRONT + ["px", "py"])
 
 
-def points_to_csv(features, points: np.ndarray) -> str:
-    """The points CSV: each record's tags followed by its projected point."""
+def points_to_csv(fronts, points: np.ndarray) -> str:
+    """The points CSV: the tags of each (class_i, class_ip, lambda,
+    amplified) in fronts, followed by its projected point."""
     texts = _floattext.rows_text(points)
-    lines = [POINTS_HEADER, *(f"{_tags(rec)},{text}" for rec, text in zip(features, texts))]
+    lines = [POINTS_HEADER, *(f"{_tags(*front)},{text}" for front, text in zip(fronts, texts))]
     return "\n".join(lines) + "\n"

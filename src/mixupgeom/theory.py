@@ -10,10 +10,8 @@ channel amplification used for the perturbed configuration.
 from __future__ import annotations
 
 import array
-import collections.abc
 import contextlib
 import math
-import operator
 import os
 import pickle
 import shutil
@@ -245,50 +243,38 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
 _BLOCK_FLOATS = 1 << 16
 
 
-class Configuration(collections.abc.Sequence):
+class Configuration:
     """The records of generate_configuration, held as the theorem gives
     them: the ETF rows and a few coefficients per lambda, never as an
     n x d matrix. Record k is lambda t = k // s^2 and the classes
     a = classes[k // s % s], b = classes[k % s] of an s-class subset.
 
-    A record's h is made when it is asked for, with the arithmetic of
-    assemble_feature and amplify: coeff_i[t] * w_a, then += coeff_ip[t] *
-    w_b, then += eps[t] * (w_a + w_b) when amplified. Each class's
-    same-class row, same_coeff * w_a, is made once; its records share it
-    read-only.
+    A record's h is made when its block is asked for, with the arithmetic
+    of assemble_feature and amplify: same_coeff * w_a for a same-class
+    record; else coeff_i[t] * w_a, then += coeff_ip[t] * w_b, then +=
+    eps[t] * (w_a + w_b) when amplified.
     """
 
     def __init__(self, rows, classes, lams, same_coeff, coeff_i, coeff_ip, eps=None):
         self.rows, self.classes, self.lams = rows, classes, lams
         self.same_coeff, self.coeff_i, self.coeff_ip, self.eps = same_coeff, coeff_i, coeff_ip, eps
-        self.same_rows = {a: same_coeff * rows[a] for a in classes}
-        for h in self.same_rows.values():
-            h.flags.writeable = False
 
     def __len__(self):
         return len(self.lams) * len(self.classes) ** 2
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            start, stop, step = k.indices(len(self))
-            if step == 1:
-                return list(self.records(start, stop))
-            return [self[j] for j in range(start, stop, step)]
-        k = operator.index(k)
-        if not -len(self) <= k < len(self):
-            raise IndexError("configuration index out of range")
-        k %= len(self)
-        return next(self.records(k, k + 1))
-
     def __iter__(self):
-        return self.records()
+        for fronts, h in self.blocks():
+            for (i, ip, lam, amplified), row in zip(fronts, h):
+                yield FeatureRecord(i, ip, lam, row, amplified)
 
-    def records(self, lo=0, hi=None):
-        """The records lo, ..., hi - 1, whose rows are made a block of
-        about _BLOCK_FLOATS floats at a time."""
+    def blocks(self, lo=0, hi=None, step=None):
+        """(fronts, h) of the records lo, ..., hi - 1, step of them at a
+        time (about _BLOCK_FLOATS floats by default): the (class_i,
+        class_ip, lambda, amplified) of each and their h as a rows x d
+        array."""
         hi = len(self) if hi is None else hi
         s, classes = len(self.classes), np.array(self.classes)
-        step = max(1, _BLOCK_FLOATS // max(self.rows.shape[1], 1))
+        step = step or max(1, _BLOCK_FLOATS // max(self.rows.shape[1], 1))
         for first in range(lo, hi, step):
             k = np.arange(first, min(first + step, hi))
             t, a, b = k // (s * s), classes[k // s % s], classes[k % s]
@@ -296,11 +282,11 @@ class Configuration(collections.abc.Sequence):
             h += self.coeff_ip[t, None] * self.rows[b]
             if self.eps is not None:
                 h += self.eps[t, None] * (self.rows[a] + self.rows[b])
-            for j, i, ip, row in zip(t.tolist(), a.tolist(), b.tolist(), h):
-                if i == ip:
-                    yield FeatureRecord(i, ip, self.lams[j], self.same_rows[i])
-                else:
-                    yield FeatureRecord(i, ip, self.lams[j], row, self.eps is not None)
+            same = a == b
+            h[same] = self.same_coeff * self.rows[a[same]]
+            amplified = (~same & (self.eps is not None)).tolist()
+            lams = [self.lams[j] for j in t.tolist()]
+            yield list(zip(a.tolist(), b.tolist(), lams, amplified)), h
 
 
 def generate_configuration(
@@ -434,40 +420,38 @@ def _forked(work, n: int, folder, mode: str):
         yield parts
 
 
-def _tags(r) -> str:
-    """The CSV_FRONT columns of record r, as every feature and points CSV
+def _tags(class_i, class_ip, lam, amplified) -> str:
+    """The CSV_FRONT columns of a row, as every feature and points CSV
     writes them."""
-    return f"{r.class_i},{r.class_ip},{float(r.lam)!r},{r.kind},{int(r.amplified)}"
+    kind = SAME_CLASS if class_i == class_ip else DIFFERENT_CLASS
+    return f"{class_i},{class_ip},{float(lam)!r},{kind},{int(amplified)}"
 
 
 def _front_problem(i, ip, lam: float):
     """Why class ids i, ip and lambda lam cannot start a feature row, or
     None."""
+    if i >= 0 and ip >= 0 and 0.0 <= lam <= 1.0:
+        return None
     for c in (i, ip):
         if c < 0:
             return f"class {c} is negative"
-    if not 0.0 <= lam <= 1.0:
-        return f"lambda {lam} is not in [0, 1]"
-    return None
+    return f"lambda {lam} is not in [0, 1]"
 
 
-def _write_rows(records, lo: int, hi: int, fh, same_texts, d: int) -> None:
-    """The CSV lines of records[lo:hi], of d h values each. Records are
-    sliced, and their h formatted, about _floattext.CHUNK floats at a
-    time. A same-class record of a class in same_texts is written with
-    that text. A negative class id, a lambda outside [0, 1] or an h value
-    that is not finite raises ValueError naming its record."""
-    step = max(1, _floattext.CHUNK // max(d, 1))
-    for first in range(lo, hi, step):
-        batch = records[first : min(first + step, hi)]
-        for k, r in enumerate(batch, first):
-            lam = float(r.lam)
-            if not (0.0 <= lam <= 1.0 and r.class_i >= 0 and r.class_ip >= 0):
-                problem = _front_problem(r.class_i, r.class_ip, lam)
+def _write_rows(blocks, first: int, fh, same_texts) -> None:
+    """The CSV lines of the (fronts, h) blocks, whose rows are records
+    first, first + 1, .... A same-class row of a class in same_texts is
+    written with that text. A negative class id, a lambda outside [0, 1]
+    or an h value that is not finite raises ValueError naming its
+    record."""
+    for fronts, h in blocks:
+        for k, (i, ip, lam, _) in enumerate(fronts, first):
+            problem = _front_problem(i, ip, float(lam))
+            if problem:
                 raise ValueError(f"feature record {k}: {problem}")
-        texts = [same_texts.get(r.class_i) if r.class_i == r.class_ip else None for r in batch]
+        texts = [same_texts.get(f[0]) if f[0] == f[1] else None for f in fronts]
         new = [k for k, text in enumerate(texts) if text is None]
-        h = np.array([batch[k].h for k in new], dtype=float).reshape(len(new), d)
+        h = h[new] if len(new) < len(texts) else h
         bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
         if bad.size:
             row = h[bad[0]]
@@ -477,26 +461,28 @@ def _write_rows(records, lo: int, hi: int, fh, same_texts, d: int) -> None:
             )
         for k, text in zip(new, _floattext.rows_text(h)):
             texts[k] = text
-        fh.write("".join(f"{_tags(r)},{text}\n" for r, text in zip(batch, texts)))
+        fh.write("".join(f"{_tags(*f)},{text}\n" for f, text in zip(fronts, texts)))
+        first += len(fronts)
 
 
 def features_to_csv(records, path) -> None:
     """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
     one row per record; the kind follows from the class pair. An h value
     that is not finite raises ValueError naming its record, counted from
-    0. The records are cut into one contiguous block per process
-    (_process_count). The first block is written to path, every other by
-    a child of _forked to its part, in path's folder, and the parts are
-    appended to path in order.
-
-    A Configuration is written from its coefficients: each process makes
-    the rows of its own block as _write_rows slices them, and each
-    class's same-class row is formatted once, before any fork."""
+    0. The records are cut into one contiguous range per process
+    (_process_count), each written in blocks of about _floattext.CHUNK
+    floats (Configuration.blocks, or slices of a list of records).
+    The first range is written to path, every other by a child of _forked
+    to its part, in path's folder, and the parts are appended to path in
+    order. Each same-class row of a Configuration is formatted once,
+    before any fork."""
     if isinstance(records, Configuration):
-        d, same = records.rows.shape[1], records.same_rows
-        texts = _floattext.rows_text(np.array(list(same.values())))
+        d, classes = records.rows.shape[1], records.classes
+        same = records.same_coeff * records.rows[classes]
         # A row that is not finite is left to _write_rows, which names it.
-        same_texts = {a: t for a, t in zip(same, texts) if np.isfinite(same[a]).all()}
+        ok = np.isfinite(same).all(axis=1)
+        same_texts = {a: t for a, t, f in zip(classes, _floattext.rows_text(same), ok) if f}
+        blocks = records.blocks
     else:
         records, same_texts = list(records), {}
         if not records:
@@ -505,6 +491,14 @@ def features_to_csv(records, path) -> None:
         for r in records:
             if np.shape(r.h) != (d,):
                 raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
+
+        def blocks(lo, hi, step):
+            for first in range(lo, hi, step):
+                batch = records[first : min(first + step, hi)]
+                h = np.array([r.h for r in batch], dtype=float).reshape(len(batch), d)
+                yield [(r.class_i, r.class_ip, r.lam, r.amplified) for r in batch], h
+
+    step = max(1, _floattext.CHUNK // max(d, 1))
     n = _process_count(len(records) * d)
     cuts = [len(records) * j // n for j in range(n + 1)]
     folder = os.path.dirname(os.path.abspath(path))
@@ -514,30 +508,38 @@ def features_to_csv(records, path) -> None:
         out.flush()
 
         def write(j, part):
-            _write_rows(records, cuts[j], cuts[j + 1], part or out, same_texts, d)
+            _write_rows(blocks(cuts[j], cuts[j + 1], step), cuts[j], part or out, same_texts)
 
         with _forked(write, n, folder, "w+") as parts:
             for part in parts:
                 shutil.copyfileobj(part, out)
 
 
-def _parse_row(raw: bytes, d: int, values) -> tuple:
-    """(class_i, class_ip, lambda, amplified) of one CSV row; its d h
-    values are appended to the array values."""
-    parts = raw.decode().split(",")
-    if len(parts) - 5 != d:
-        raise ValueError(f"{len(parts) - 5} h values, the header has {d}")
-    kind, flag = parts[3], parts[4]
+def _front(class_i: str, class_ip: str, lam: str, kind: str, flag: str) -> tuple:
+    """(class_i, class_ip, lambda, amplified) of the CSV_FRONT fields of a
+    feature row. An unknown kind, a flag other than 0/1, a field that does
+    not parse, a _front_problem or a kind that does not follow from the
+    class pair raises ValueError, in that order."""
     if kind not in (SAME_CLASS, DIFFERENT_CLASS):
         raise ValueError(f"unknown kind {kind!r}")
     if flag not in ("0", "1"):
         raise ValueError(f"amplified must be 0 or 1, got {flag!r}")
-    front = (int(parts[0]), int(parts[1]), float(parts[2]), flag == "1")
-    problem = _front_problem(*front[:3])
+    i, ip, lam = int(class_i), int(class_ip), float(lam)
+    problem = _front_problem(i, ip, lam)
     if problem:
         raise ValueError(problem)
-    if (kind == SAME_CLASS) != (front[0] == front[1]):
-        raise ValueError(f"kind {kind} does not match classes {front[0]} and {front[1]}")
+    if (kind == SAME_CLASS) != (i == ip):
+        raise ValueError(f"kind {kind} does not match classes {i} and {ip}")
+    return i, ip, lam, flag == "1"
+
+
+def _parse_row(raw: bytes, d: int, values) -> tuple:
+    """The _front of one CSV row; its d h values are appended to the array
+    values."""
+    parts = raw.decode().split(",")
+    if len(parts) - 5 != d:
+        raise ValueError(f"{len(parts) - 5} h values, the header has {d}")
+    front = _front(*parts[:5])
     h = list(map(float, parts[5:]))
     # A sum is finite unless some value is not, or the sum overflows.
     if not math.isfinite(sum(h)):
@@ -578,20 +580,12 @@ def _pieces(fh, lo: int, hi: int):
             buf = buf + bytes(len(buf) - pad)
 
 
-def _fields_are(text, ends, sizes, word: str):
-    """Where the field text[e - s : e] is word."""
-    want = np.frombuffer(word.encode(), dtype=np.uint8)
-    got = text[ends[:, None] - want.size + np.arange(want.size)]
-    return (sizes == want.size) & (got == want).all(axis=1)
-
-
 def _parse_piece(text, d: int):
     """(fronts, h) of the lines of a piece (see _pieces) as _parse_row reads
     them, when every line is in the layout features_to_csv writes: d + 5
-    fields, each ended by ',' but the last by '\n'; class ids of 1 to 8
-    ASCII digits; a kind that follows from them; a flag 0 or 1; a lambda
-    in [0, 1] and h values that are finite. None otherwise. The floats are
-    read by _floattext.floats."""
+    fields, each ended by ',' but the last by '\n'; front fields that
+    _front takes; h values that are finite. None otherwise. The h values
+    are read by _floattext.floats."""
     pad, k = _floattext.WINDOW, d + 5
     # Every byte below '-' is a separator in that layout.
     seps = np.flatnonzero(text[pad:] < ord("-"))
@@ -604,40 +598,23 @@ def _parse_piece(text, d: int):
         return None
     ends = seps.reshape(-1, k)
     sizes = np.diff(seps, prepend=pad - 1).reshape(-1, k) - 1
-    rows = len(ends)
-    classes, ok = _floattext.naturals(text, ends[:, :2].ravel(), sizes[:, :2].ravel())
-    i, ip = classes.reshape(-1, 2).T
-    same = _fields_are(text, ends[:, 3], sizes[:, 3], SAME_CLASS)
-    flag = text[ends[:, 4] - 1]
-    if not (
-        ok.all()
-        and (same == (i == ip)).all()
-        and (same | _fields_are(text, ends[:, 3], sizes[:, 3], DIFFERENT_CLASS)).all()
-        and (sizes[:, 4] == 1).all()
-        and ((flag == ord("0")) | (flag == ord("1"))).all()
-    ):
-        return None
-    # Lambda and the h values, in one call.
-    cols = np.arange(4, k)
-    cols[0] = 2
-    ends, sizes = ends[:, cols].ravel(), sizes[:, cols].ravel()
-    del seps
+    # Each row's front fields, from its start to the separator after them.
+    raw = text.tobytes()
+    starts, stops = [pad, *(ends[:-1, -1] + 1).tolist()], ends[:, 4].tolist()
     try:
-        floats = _floattext.floats(text, ends, sizes)
+        fronts = [_front(*raw[a:b].decode().split(",")) for a, b in zip(starts, stops)]
+        h = _floattext.floats(text, ends[:, 5:].ravel(), sizes[:, 5:].ravel())
     except ValueError:
         return None
-    floats = floats.reshape(rows, d + 1)
-    lam, h = floats[:, 0], floats[:, 1:]
-    if not (((lam >= 0.0) & (lam <= 1.0)).all() and np.isfinite(h).all()):
+    if not np.isfinite(h).all():
         return None
-    fronts = list(zip(i.tolist(), ip.tolist(), lam.tolist(), (flag == ord("1")).tolist()))
-    return fronts, h
+    return fronts, h.reshape(len(fronts), d)
 
 
 def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
     """put(fronts, h) for each piece (_pieces) of the lines that start in
-    bytes [lo, hi) of path that holds a row: the _parse_row tuple of each
-    row and its h values as a rows x d array, in file order. A piece is
+    bytes [lo, hi) of path that holds a row: the _front tuple of each row
+    and its h values as a rows x d array, in file order. A piece is
     parsed by _parse_piece or, where it breaks the writer's layout, line
     by line by _parse_row, so that a malformed row raises _parse_rows'
     path:line error. Lines are numbered as in the whole file."""
@@ -661,7 +638,7 @@ def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
                 put(*piece)
 
 
-def features_from_csv(path, each=None) -> list[FeatureRecord]:
+def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
     the header's, an unknown kind, a kind that does not follow from the
@@ -670,20 +647,16 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
 
     The rows are cut at line starts into one contiguous byte range per
     process (_process_count, estimated from the first row's length), and
-    each range is read and handed on in pieces of about _PIECE_BYTES of
-    text (_read_blocks). A piece in the layout the writer makes is parsed
-    in numpy, its floats by _floattext.floats, bit for bit as float()
-    reads them; any other piece line by line, as the records and errors
-    were always read. Every range but the first is parsed by a child of
+    each range is read in pieces of about _PIECE_BYTES of text
+    (_read_blocks). Every range but the first is parsed by a child of
     _forked, which writes each piece to its part (in the temporary
-    directory): the piece's tags pickled, then its h values as raw
-    doubles. The parts are read back piece by piece once every child has
-    ended.
+    directory): its fronts pickled, then its h values as raw doubles. The
+    parts are read back piece by piece once every child has ended.
 
-    Without each, the records are returned with their h. With each, the
-    records of every piece are passed to each(block) in file order, every
-    row once and no block empty, and the records returned carry no h (h is
-    None): no step holds every row.
+    Without each, the records are returned. With each, each(fronts, h) is
+    called for every piece in file order, with the _front tuple of each
+    row and their h as a rows x d array, every row once and no piece
+    empty, and nothing is returned: no step holds every row.
     """
     with open(path, "rb") as fh:
         header = _utf8(fh.readline(), path, 1).strip().split(",")
@@ -702,23 +675,15 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
         cuts.append(size)
     records = []
 
-    def take(fronts, h):
-        block = [
-            FeatureRecord(i, ip, lam, row, amplified)
-            for (i, ip, lam, amplified), row in zip(fronts, h)
-        ]
-        if each is None:
-            records.extend(block)
-            return
-        each(block)
-        records.extend(FeatureRecord(i, ip, lam, None, amp) for i, ip, lam, amp in fronts)
+    def keep(fronts, h):
+        records.extend(FeatureRecord(i, ip, lam, row, a) for (i, ip, lam, a), row in zip(fronts, h))
+
+    take = each or keep
 
     def read(j, part):
         def put(fronts, h):
             pickle.dump(fronts, part)
-            # _parse_piece's h is a column slice; write takes only
-            # contiguous buffers.
-            part.write(np.ascontiguousarray(h))
+            part.write(h)
 
         _read_blocks(path, cuts[j], cuts[j + 1], d, put if part else take)
 
@@ -729,4 +694,4 @@ def features_from_csv(path, each=None) -> list[FeatureRecord]:
                 h = np.empty((len(fronts), d))
                 part.readinto(h)
                 take(fronts, h)
-    return records
+    return None if each else records

@@ -41,6 +41,14 @@ FIXED_ETF = "fixed_etf"
 CLASSIFIER_MODES = (LEARNED, FIXED_ETF)
 
 
+class FieldError(ValueError):
+    """A value that its field alone makes invalid, whatever the others."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SyntheticDataset:
     """Gaussian blobs: samples_per_class points around each class mean.
@@ -57,6 +65,10 @@ class SyntheticDataset:
     seed: int
 
     def __post_init__(self):
+        if self.num_classes < 1:
+            raise FieldError("num_classes", "need at least one class")
+        if self.input_dim < 1:
+            raise FieldError("input_dim", "need at least one input dimension")
         means = np.asarray(self.class_means, dtype=float)
         if means.shape != (self.num_classes, self.input_dim):
             raise ValueError(
@@ -64,12 +76,12 @@ class SyntheticDataset:
                 f"({self.num_classes}, {self.input_dim})"
             )
         object.__setattr__(self, "class_means", means)
-        if self.num_classes < 1 or self.input_dim < 1:
-            raise ValueError("need at least one class and one input dimension")
         if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+            raise FieldError(
+                "noise_scale", f"noise_scale must be nonnegative, got {self.noise_scale}"
+            )
         if self.samples_per_class < 1:
-            raise ValueError("need at least one sample per class")
+            raise FieldError("samples_per_class", "need at least one sample per class")
         if self.seed < 0:
             raise ValueError(f"dataset seed must be non-negative, got {self.seed}")
         for a in range(self.num_classes):
@@ -96,8 +108,8 @@ def default_dataset_spec(
     plane, 500 points each."""
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     circle = mean_scale * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    means = np.zeros((num_classes, input_dim))
-    means[:, :2] = circle[:, :input_dim]
+    means = np.zeros((max(num_classes, 0), max(input_dim, 0)))
+    means[:, :2] = circle[:, : means.shape[1]]
     return SyntheticDataset(
         num_classes=num_classes,
         input_dim=input_dim,
@@ -135,22 +147,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_layers < 1:
-            raise ValueError("need at least one hidden layer")
-        if self.width < 1 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("width/batch_size must be positive, epochs nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0 or self.mixup_alpha < 0:
-            raise ValueError("weight_decay and mixup_alpha must be nonnegative")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.classifier_mode not in CLASSIFIER_MODES:
-            raise ValueError(f"unknown classifier mode {self.classifier_mode!r}")
+        for field, ok, message in (
+            ("hidden_layers", self.hidden_layers >= 1, "need at least one hidden layer"),
+            ("width", self.width >= 1, "width must be positive, got {v}"),
+            ("batch_size", self.batch_size >= 1, "batch_size must be positive, got {v}"),
+            ("epochs", self.epochs >= 0, "epochs must be nonnegative, got {v}"),
+            ("learning_rate", self.learning_rate > 0, "learning rate must be positive, got {v}"),
+            ("momentum", 0 <= self.momentum < 1, "momentum must be in [0, 1), got {v}"),
+            ("weight_decay", self.weight_decay >= 0, "weight_decay must be nonnegative, got {v}"),
+            ("mixup_alpha", self.mixup_alpha >= 0, "mixup_alpha must be nonnegative, got {v}"),
+            ("activation", self.activation in ACTIVATIONS, "unknown activation {v!r}"),
+            ("loss_kind", self.loss_kind in LOSS_KINDS, "unknown loss kind {v!r}"),
+            (
+                "classifier_mode", self.classifier_mode in CLASSIFIER_MODES,
+                "unknown classifier mode {v!r}",
+            ),
+        ):
+            if not ok:
+                raise FieldError(field, message.format(v=getattr(self, field)))
         if self.classifier_mode == FIXED_ETF and self.etf_multiplier == 0:
             raise ValueError("etf_multiplier must be nonzero in fixed_etf mode")
         if self.seed < 0:

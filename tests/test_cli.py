@@ -836,10 +836,32 @@ def test_train_rejects_bad_config(tmp_path, capsys):
             "train.weight_decay = -inf\n",
             "{cfg}:1: bad value for train.weight_decay: '-inf' is not finite",
         ),
+        ("train.epochs = -1\n", "{cfg}:1: train.epochs: epochs must be nonnegative, got -1"),
+        (
+            "train.epochs = 1\n# no samples\ndataset.samples_per_class = 0\n",
+            "{cfg}:3: dataset.samples_per_class: need at least one sample per class",
+        ),
+        ("dataset.num_classes = -1\n", "{cfg}:1: dataset.num_classes: need at least one class"),
+        (
+            "dataset.input_dim = 0\n",
+            "{cfg}:1: dataset.input_dim: need at least one input dimension",
+        ),
+        (
+            "dataset.noise_scale = -0.5\n",
+            "{cfg}:1: dataset.noise_scale: noise_scale must be nonnegative, got -0.5",
+        ),
+        ("train.batch_size = 0\n", "{cfg}:1: train.batch_size: batch_size must be positive, got 0"),
+        (
+            "train.epochs = 1\ntrain.momentum = 1.0\n",
+            "{cfg}:2: train.momentum: momentum must be in [0, 1), got 1.0",
+        ),
+        ("train.activation = tanhh\n", "{cfg}:1: train.activation: unknown activation 'tanhh'"),
     ],
     ids=[
         "diverging", "one class", "fixed_etf narrower than the classes",
         "nan noise_scale", "inf mean_scale", "nan learning_rate", "-inf weight_decay",
+        "negative epochs", "no samples per class", "negative num_classes", "zero input_dim",
+        "negative noise_scale", "zero batch_size", "momentum 1", "unknown activation",
     ],
 )
 def test_a_run_that_cannot_train_is_one_error_line_and_writes_nothing(

@@ -205,11 +205,3 @@ def test_a_field_float_cannot_read_raises_its_error():
     with pytest.raises(ValueError, match=r"^could not convert string to float: '1\.5x'$"):
         read(["1.5", "1.5x", "2.5"])
 
-
-def test_naturals():
-    fields = [b"0", b"7", b"0042", b"99999999", b"123456789", b"", b"-1", b"1.0", b"+3"]
-    text = np.frombuffer(b"\0" * 8 + b",".join(fields) + b",", dtype=np.uint8)
-    sizes = np.array([len(f) for f in fields], dtype=np.intp)
-    values, ok = _floattext.naturals(text, 8 + np.cumsum(sizes + 1) - 1, sizes)
-    assert ok.tolist() == [True] * 4 + [False] * 5
-    assert values[:4].tolist() == [0, 7, 42, 99999999]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from mixupgeom.projection import (
     project,
     project_vector,
 )
-from mixupgeom.theory import FeatureRecord, TheoryParams, generate_configuration
+from mixupgeom.theory import TheoryParams, generate_configuration
 
 
 def test_triangle_columns_unit_and_zero_sum():
@@ -98,11 +99,11 @@ def test_projected_points_follow_the_span_structure():
     params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     subset = [0, 1, 2]
-    records = generate_configuration(
-        params, frame, subset, list(np.linspace(0.05, 0.95, 10))
+    records = list(
+        generate_configuration(params, frame, subset, list(np.linspace(0.05, 0.95, 10)))
     )
     op = build_projection(frame.rows[subset])
-    points = project(op, records)
+    points = project(op, np.array([rec.h for rec in records]))
     verts = {c: project_vector(op, frame.rows[c]) for c in subset}
     for rec, p in zip(records, points):
         if rec.kind == "same_class":
@@ -119,10 +120,9 @@ def test_projected_points_follow_the_span_structure():
             assert np.linalg.norm(p - expected) < 1e-6
 
 
-def _random_records(rng, n, d):
-    """n records whose features span six orders of magnitude and both signs."""
-    scales = 10.0 ** rng.integers(-3, 3, size=n)
-    return [FeatureRecord(0, 1, 0.5, rng.normal(size=d) * s) for s in scales]
+def _random_rows(rng, n, d):
+    """n x d features whose rows span six orders of magnitude and both signs."""
+    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
 
 
 @pytest.mark.parametrize("d", [7, 16, 100, 1000])
@@ -131,29 +131,29 @@ def test_stacked_projection_is_per_row_project_vector_bit_for_bit(d):
     op = build_projection(rng.normal(size=(3, d)), rng.normal(size=d))
     rows = projection._BLOCK_FLOATS // d
     for n in (0, 1, rows - 1, 2 * rows + 3):
-        records = _random_records(rng, n, d)
-        points = project(op, records)
-        expected = np.array([project_vector(op, r.h) for r in records]).reshape(n, 2)
+        h = _random_rows(rng, n, d)
+        points = project(op, h)
+        expected = np.array([project_vector(op, row) for row in h]).reshape(n, 2)
         assert np.array_equal(points, expected)
         assert np.array_equal(np.signbit(points), np.signbit(expected))
 
 
 def test_project_names_a_feature_of_the_wrong_width():
     op = build_projection(np.eye(3))
-    records = _random_records(np.random.default_rng(0), 5, 3)
-    records[3] = FeatureRecord(0, 1, 0.5, np.zeros(4))
-    with pytest.raises(ValueError, match=r"^feature has shape \(4,\), expected \(3,\)$"):
-        project(op, records)
+    for h in (np.zeros((5, 4)), np.zeros(3), np.zeros((1, 1, 3))):
+        message = f"features have shape {h.shape}, expected (n, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project(op, h)
 
 
 def test_projecting_a_thousand_wide_records_peaks_under_one_megabyte():
     d = 1000
     rng = np.random.default_rng(0)
     op = build_projection(rng.normal(size=(3, d)))
-    records = _random_records(rng, 1000, d)
+    h = _random_rows(rng, 1000, d)
     tracemalloc.start()
     try:
-        project(op, records)
+        project(op, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,11 +161,8 @@ def test_projecting_a_thousand_wide_records_peaks_under_one_megabyte():
 
 
 def test_points_csv_writes_a_numpy_lambda_as_a_float():
-    records = [
-        FeatureRecord(2, 2, np.float64(0.5), np.zeros(3)),
-        FeatureRecord(0, 1, 0.25, np.ones(3), amplified=True),
-    ]
-    text = projection.points_to_csv(records, np.array([[1.0, -2.0], [0.5, 0.0]]))
+    fronts = [(2, 2, np.float64(0.5), False), (0, 1, 0.25, True)]
+    text = projection.points_to_csv(fronts, np.array([[1.0, -2.0], [0.5, 0.0]]))
     assert text == (
         "class_i,class_ip,lambda,kind,amplified,px,py\n"
         "2,2,0.5,same_class,0,1.0,-2.0\n"

@@ -200,8 +200,9 @@ def test_amplify_shifts_along_row_sum():
 def test_generate_configuration_order_and_count():
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     lams = [0.25, 0.75]
-    records = generate_configuration(PARAMS, frame, [0, 1, 2], lams)
-    assert len(records) == len(lams) * 9
+    config = generate_configuration(PARAMS, frame, [0, 1, 2], lams)
+    records = list(config)
+    assert len(config) == len(records) == len(lams) * 9
     # lambda-major, then ordered pair in nested subset order
     assert records[0].lam == 0.25 and records[9].lam == 0.75
     kinds = [r.kind for r in records[:9]]
@@ -282,21 +283,14 @@ def test_objective_from_coefficients_agrees_with_the_stacked_records(params, sub
 def test_a_configuration_is_a_sequence_of_records_made_on_demand():
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5], amplified=True)
-    listed = list(records)
+    listed, again = list(records), list(records)
     assert len(records) == len(listed) == 18
-    _records_equal([records[k] for k in range(18)], listed)
-    _records_equal([records[k] for k in range(-18, 0)], listed)
-    _records_equal(records[3:11:2], listed[3:11:2])
-    for k in (18, -19):
-        with pytest.raises(IndexError):
-            records[k]
-    # A record is made afresh: changing one changes nothing held.
-    records[5].h[:] = 0.0
-    records[5].lam = 0.9
-    _records_equal(records, listed)
-    # Same-class rows are made once and shared, so they are read-only.
-    with pytest.raises(ValueError, match="read-only"):
-        records[0].h[0] = 1.0
+    # A record is made afresh: changing one, same-class (0) or not (5),
+    # changes nothing held.
+    for k in (0, 5):
+        listed[k].h[:] = 0.0
+        listed[k].lam = 0.9
+    _records_equal(records, again)
 
 
 def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monkeypatch):
@@ -304,8 +298,8 @@ def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monke
     lams = [0.2, 0.5, 0.9]
     records = generate_configuration(PARAMS, frame, [0, 1, 2], lams)
     for c in (0, 1, 2):
-        rows = [r.h for r in records if r.kind == SAME_CLASS and r.class_i == c]
-        assert len(rows) == len(lams) and all(h is rows[0] for h in rows)
+        rows = [r.h.tobytes() for r in records if r.kind == SAME_CLASS and r.class_i == c]
+        assert len(rows) == len(lams) and all(h == rows[0] for h in rows)
     formatted = []
 
     rows_text = _floattext.rows_text
@@ -343,6 +337,7 @@ def test_configuration_and_objective_at_paper_scale_hold_no_matrix():
 def reference_features_csv(records) -> str:
     """The per-element writer features_to_csv replaced: repr of every
     numpy scalar, one line per record."""
+    records = list(records)
     d = len(records[0].h)
     lines = ["class_i,class_ip,lambda,kind,amplified," + ",".join(
         f"h_{j}" for j in range(d)
@@ -530,24 +525,35 @@ def test_each_gets_every_row_once_in_file_order_in_no_empty_block(
     path.write_bytes(b"\n".join(lines))
     _split_io(monkeypatch, processes)
     blocks = []
-    read = features_from_csv(path, blocks.append)
-    assert blocks and all(blocks)
-    _records_equal([r for block in blocks for r in block], records)
-    assert all(r.h is None for r in read)
-    _records_equal([dataclasses.replace(r, h=q.h) for r, q in zip(read, records)], records)
+    assert features_from_csv(path, lambda fronts, h: blocks.append((fronts, h))) is None
+    assert blocks and all(fronts for fronts, _ in blocks)
+    _records_equal(_block_records(blocks), records)
+
+
+def _block_records(blocks):
+    """The records of (fronts, h) blocks, each block's rows checked
+    against its fronts."""
+    records = []
+    for fronts, h in blocks:
+        assert h.shape[0] == len(fronts)
+        records += [theory.FeatureRecord(i, ip, lam, row, a) for (i, ip, lam, a), row in zip(fronts, h)]
+    return records
 
 
 def test_a_configuration_slice_is_its_records_bit_for_bit(monkeypatch):
-    # Blocks of 2 rows, so that a slice spans several.
+    # Blocks of 2 rows by default, so that a range spans several.
     monkeypatch.setattr(theory, "_BLOCK_FLOATS", 200)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     for amplified in (False, True):
         config = generate_configuration(
             PARAMS, frame, [2, 0, 1], [0.0, 0.3, 0.5, 1.0], amplified=amplified
         )
-        for k in (slice(None), slice(3, 17), slice(5, 6), slice(-7, None), slice(10, 3),
-                  slice(1, 30, 4), slice(None, None, -3)):
-            _records_equal(config[k], [config[j] for j in range(*k.indices(len(config)))])
+        listed = list(config)
+        for lo, hi, step in [(0, len(config), None), (3, 17, None), (5, 6, 3), (29, 36, 4),
+                             (10, 3, 1), (1, 30, 7), (0, len(config), len(config))]:
+            blocks = list(config.blocks(lo, hi, step))
+            assert all(0 < len(fronts) <= (step or 2) for fronts, _ in blocks)
+            _records_equal(_block_records(blocks), listed[lo:hi])
 
 
 def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_path, processes):
@@ -698,6 +704,13 @@ PARITY_CASES = {
     "d + 1 fields": _body(_GOOD_ROW + b",1.0"),
     "leading zeros": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"00,01,00.50,")),
     "plus class": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0,+1,0.5,")),
+    "class 01": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0,01,0.5,")),
+    "class 1_0": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0,1_0,0.5,")),
+    "non-ASCII class": _body(_GOOD_ROW.replace(b"0,1,0.5,", "0,\u0661,0.5,".encode())),
+    "space class": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0, 1,0.5,")),
+    "bad kind": _body(_GOOD_ROW.replace(b"different_class", b"mixed_class")),
+    "flag 2": _body(_GOOD_ROW.replace(b"different_class,0,", b"different_class,2,")),
+    "kind against classes": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"1,1,0.5,")),
     "negative zero lambda": _body(_GOOD_ROW.replace(b"0,1,0.5,", b"0,1,-0.0,")),
 }
 GOLDEN_FEATURES = [
@@ -752,11 +765,11 @@ def test_reading_a_thousand_by_thousand_file_holds_under_1_6_megabytes(tmp_path,
     rows = []
     tracemalloc.start()
     try:
-        records = features_from_csv(path, lambda block: rows.append(len(block)))
+        features_from_csv(path, lambda fronts, h: rows.append(len(h)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(records) == sum(rows) == 1000
+    assert sum(rows) == 1000
     assert peak < 1_600_000
 
 
