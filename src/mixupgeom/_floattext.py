@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Floats formatted per pass; a pass holds about half a megabyte.
+# Floats per block of every step that streams h rows (block_rows), each
+# pass about half a megabyte; the reader's pieces are CHUNK * WINDOW bytes.
 CHUNK = 4096
 
 # Biased exponents of the fast path: binary exponents -14 to 49. Below
@@ -244,6 +245,11 @@ def _text(x, sep):
     return text[keep].tobytes()
 
 
+def block_rows(width: int) -> int:
+    """Rows of width floats in a block of about CHUNK floats, at least 1."""
+    return max(1, CHUNK // max(width, 1))
+
+
 def rows_text(a):
     """Yield ",".join(map(repr, row)) for each row of the 2-D float array
     a, byte for byte; whole rows of about CHUNK floats are formatted at a
@@ -254,7 +260,7 @@ def rows_text(a):
         yield from [""] * n
         return
     sep = np.full(CHUNK, ord(","), dtype=np.uint8)
-    rows = max(1, CHUNK // d)
+    rows = block_rows(d)
     for lo in range(0, n, rows):
         flat = a[lo : lo + rows].reshape(-1)
         parts = []

@@ -59,7 +59,7 @@ def cmd_theory_solve(args) -> int:
     ):
         print(f"error: --out and --summary-out name the same file {args.out}", file=sys.stderr)
         return 2
-    params = TheoryParams(C=args.C, m=args.m, lambda_h=args.lambda_h, d=args.d)
+    params = TheoryParams(C=args.C, m=args.m, lambda_h=args.lambda_h)
     frame = build_simplex_etf(args.C, args.d, args.m, args.seed)
     rng = np.random.default_rng(args.seed)
     lams = sample_lambdas(BetaSpec(args.alpha), args.samples, rng)
@@ -115,7 +115,7 @@ def cmd_oracle_check(args) -> int:
     if not cs or not ms or not lhs or not lams:
         print("error: empty oracle grid", file=sys.stderr)
         return 2
-    cells = [TheoryParams(C=C, m=m, lambda_h=lh, d=C) for C in cs for m in ms for lh in lhs]
+    cells = [TheoryParams(C=C, m=m, lambda_h=lh) for C in cs for m in ms for lh in lhs]
     grid = theory.solve_grid(cells, lams)
     worst = 0.0
     failed = False
@@ -274,18 +274,17 @@ def cmd_project(args) -> int:
     # with it the blocks are held until the center is known. Rows of the
     # wrong width are parsed and not kept, so that a bad row later in the
     # file is still the error reported.
-    fronts, blocks, widths = [], [], set()
+    fronts, blocks = [], []
 
     def each(tags, h):
         fronts.extend(tags)
-        widths.add(h.shape[1])
         if h.shape[1] == w.shape[1]:
             blocks.append(h if args.center_mean else projection.project(op, h))
 
-    theory.features_from_csv(args.features, each)
-    if widths and widths != {w.shape[1]}:
+    d = theory.features_from_csv(args.features, each)
+    if fronts and d != w.shape[1]:
         raise ValueError(
-            f"{args.features} holds features of width {widths.pop()}, "
+            f"{args.features} holds features of width {d}, "
             f"{args.classifier} holds classifier rows of width {w.shape[1]}"
         )
     if args.center_mean:

@@ -68,13 +68,19 @@ def _draw(n: int, spec: BetaSpec, batch_size: int, rng: np.random.Generator):
     return i, j, sample_lambdas(spec, batch_size, rng)
 
 
+def _check_lambdas(lam) -> None:
+    """Raise ValueError naming the first value of lam not in [0, 1], NaN included."""
+    lam = np.ravel(lam)
+    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+    if bad.size:
+        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
+
+
 def _mix_rows(lam: np.ndarray, *sources) -> list:
     """For each (table, a, b) source, the array whose row k is
     lam[k] * table[a[k]] + (1 - lam[k]) * table[b[k]]; lam must lie in
     [0, 1]. Rows are gathered one table at a time."""
-    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
-    if bad.size:
-        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
+    _check_lambdas(lam)
     w = lam[:, None]
     return [w * table[a] + (1.0 - w) * table[b] for table, a, b in sources]
 

@@ -104,21 +104,18 @@ def project_vector(op: ProjectionOperator, h: np.ndarray) -> np.ndarray:
     return TRIANGLE @ (op.Q @ (h - op.center))
 
 
-# project takes about this many feature floats (32 KB) at a time, so
-# that its memory stays flat however many rows it projects.
-_BLOCK_FLOATS = 4096
-
-
 def project(op: ProjectionOperator, h) -> np.ndarray:
     """n x 2 array whose row k is project_vector(op, h[k]), bit for bit,
     for an n x d array h. The rows are taken in blocks of about
-    _BLOCK_FLOATS floats, and numpy runs each block's products as one
-    matrix-vector product per row, as project_vector does."""
+    _floattext.CHUNK floats (32 KB; _floattext.block_rows), so that its
+    memory stays flat however many rows it projects, and numpy runs each
+    block's products as one matrix-vector product per row, as
+    project_vector does."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[1:] != op.center.shape:
         raise ValueError(f"features have shape {h.shape}, expected (n, {op.center.size})")
     points = np.empty((len(h), 2))
-    rows = max(1, _BLOCK_FLOATS // h.shape[1])
+    rows = _floattext.block_rows(h.shape[1])
     for lo in range(0, len(h), rows):
         block = h[lo : lo + rows] - op.center
         points[lo : lo + rows] = (TRIANGLE @ (op.Q @ block[:, :, None]))[:, :, 0]

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _floattext, kernels
 from .etf import SimplexEtf, _bad_header, _finite_floats, _parse_rows, _utf8
+from .mixup import _check_lambdas
 
 SAME_CLASS = "same_class"
 DIFFERENT_CLASS = "different_class"
@@ -32,14 +33,14 @@ class TheoryParams:
     """One parameter cell of the closed form. The domain: C >= 2 classes
     (tested up to 2000); a multiplier m that is finite and nonzero with
     a positive finite square (tested from 0.05 to 100); lambda_h positive
-    and finite (tested from 1e-10 to 10); a feature dimension d >= C.
-    The mixing coefficients the solves take must lie in [0, 1]. A value
-    outside the domain raises ValueError naming it."""
+    and finite (tested from 1e-10 to 10). The feature dimension is the
+    width of the ETF's rows (build_simplex_etf), and the mixing
+    coefficients the solves take must lie in [0, 1]. A value outside the
+    domain raises ValueError naming it."""
 
     C: int
     m: float
     lambda_h: float
-    d: int
 
     def __post_init__(self):
         if self.C < 2:
@@ -50,8 +51,6 @@ class TheoryParams:
             raise ValueError(f"multiplier m={self.m} has no positive finite square")
         if not 0 < self.lambda_h < math.inf:
             raise ValueError(f"lambda_h must be positive and finite, got {self.lambda_h}")
-        if self.d < self.C:
-            raise ValueError(f"feature dimension {self.d} must be >= {self.C}")
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,7 @@ def _solve_cells(cells, lams):
     one-hot, so the solution is the same-class one of the surviving
     class: the formulas run with k = K.
     """
-    for v in lams:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {v}")
+    _check_lambdas(lams)
     C, m2, lh = (
         np.array([[v] for v in column])
         for column in zip(*((p.C, p.m**2, p.lambda_h) for p in cells))
@@ -237,12 +234,6 @@ def amplify(record: FeatureRecord, etf: SimplexEtf) -> FeatureRecord:
     )
 
 
-# The rows of a Configuration are made in blocks of about this many
-# floats (512 KB), so that no step holds every row; the writer takes them
-# in smaller blocks of _floattext.CHUNK floats.
-_BLOCK_FLOATS = 1 << 16
-
-
 class Configuration:
     """The records of generate_configuration, held as the theorem gives
     them: the ETF rows and a few coefficients per lambda, never as an
@@ -267,14 +258,14 @@ class Configuration:
             for (i, ip, lam, amplified), row in zip(fronts, h):
                 yield FeatureRecord(i, ip, lam, row, amplified)
 
-    def blocks(self, lo=0, hi=None, step=None):
-        """(fronts, h) of the records lo, ..., hi - 1, step of them at a
-        time (about _BLOCK_FLOATS floats by default): the (class_i,
-        class_ip, lambda, amplified) of each and their h as a rows x d
-        array."""
+    def blocks(self, lo=0, hi=None):
+        """(fronts, h) of the records lo, ..., hi - 1, about
+        _floattext.CHUNK floats at a time (_floattext.block_rows): the
+        (class_i, class_ip, lambda, amplified) of each and their h as a
+        rows x d array."""
         hi = len(self) if hi is None else hi
         s, classes = len(self.classes), np.array(self.classes)
-        step = step or max(1, _BLOCK_FLOATS // max(self.rows.shape[1], 1))
+        step = _floattext.block_rows(self.rows.shape[1])
         for first in range(lo, hi, step):
             k = np.arange(first, min(first + step, hi))
             t, a, b = k // (s * s), classes[k // s % s], classes[k % s]
@@ -471,7 +462,8 @@ def features_to_csv(records, path) -> None:
     that is not finite raises ValueError naming its record, counted from
     0. The records are cut into one contiguous range per process
     (_process_count), each written in blocks of about _floattext.CHUNK
-    floats (Configuration.blocks, or slices of a list of records).
+    floats (_floattext.block_rows: Configuration.blocks, or slices of a
+    list of records).
     The first range is written to path, every other by a child of _forked
     to its part, in path's folder, and the parts are appended to path in
     order. Each same-class row of a Configuration is formatted once,
@@ -492,13 +484,13 @@ def features_to_csv(records, path) -> None:
             if np.shape(r.h) != (d,):
                 raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
 
-        def blocks(lo, hi, step):
+        def blocks(lo, hi):
+            step = _floattext.block_rows(d)
             for first in range(lo, hi, step):
                 batch = records[first : min(first + step, hi)]
                 h = np.array([r.h for r in batch], dtype=float).reshape(len(batch), d)
                 yield [(r.class_i, r.class_ip, r.lam, r.amplified) for r in batch], h
 
-    step = max(1, _floattext.CHUNK // max(d, 1))
     n = _process_count(len(records) * d)
     cuts = [len(records) * j // n for j in range(n + 1)]
     folder = os.path.dirname(os.path.abspath(path))
@@ -508,7 +500,7 @@ def features_to_csv(records, path) -> None:
         out.flush()
 
         def write(j, part):
-            _write_rows(blocks(cuts[j], cuts[j + 1], step), cuts[j], part or out, same_texts)
+            _write_rows(blocks(cuts[j], cuts[j + 1]), cuts[j], part or out, same_texts)
 
         with _forked(write, n, folder, "w+") as parts:
             for part in parts:
@@ -548,19 +540,15 @@ def _parse_row(raw: bytes, d: int, values) -> tuple:
     return front
 
 
-# The reader takes a byte range's text in pieces of about this many bytes
-# (and of at least one line), each parsed in one numpy pass.
-_PIECE_BYTES = 96 << 10
-
-
 def _pieces(fh, lo: int, hi: int):
     """Bytes [lo, hi) of fh, from a line start, in pieces of whole lines of
-    about _PIECE_BYTES: each a uint8 array of _floattext.WINDOW bytes and
-    then its lines, the last ended by its newline unless it ends the
-    range. One buffer is reused, so a piece holds until the next is asked
-    for. A file that ends early ends the range."""
+    about _floattext.CHUNK * WINDOW bytes (and of at least one line), each
+    parsed in one numpy pass: each a uint8 array of _floattext.WINDOW
+    bytes and then its lines, the last ended by its newline unless it ends
+    the range. One buffer is reused, so a piece holds until the next is
+    asked for. A file that ends early ends the range."""
     pad = _floattext.WINDOW
-    buf = bytearray(pad + _PIECE_BYTES)
+    buf = bytearray(pad + _floattext.CHUNK * pad)
     fh.seek(lo)
     have, left = 0, hi - lo
     while have or left:
@@ -638,7 +626,7 @@ def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
                 put(*piece)
 
 
-def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
+def features_from_csv(path, each=None) -> list[FeatureRecord] | int:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
     the header's, an unknown kind, a kind that does not follow from the
@@ -647,16 +635,16 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
 
     The rows are cut at line starts into one contiguous byte range per
     process (_process_count, estimated from the first row's length), and
-    each range is read in pieces of about _PIECE_BYTES of text
-    (_read_blocks). Every range but the first is parsed by a child of
-    _forked, which writes each piece to its part (in the temporary
+    each range is read in pieces of about _floattext.CHUNK * WINDOW bytes
+    of text (_read_blocks). Every range but the first is parsed by a child
+    of _forked, which writes each piece to its part (in the temporary
     directory): its fronts pickled, then its h values as raw doubles. The
     parts are read back piece by piece once every child has ended.
 
     Without each, the records are returned. With each, each(fronts, h) is
     called for every piece in file order, with the _front tuple of each
     row and their h as a rows x d array, every row once and no piece
-    empty, and nothing is returned: no step holds every row.
+    empty, and the header's d is returned: no step holds every row.
     """
     with open(path, "rb") as fh:
         header = _utf8(fh.readline(), path, 1).strip().split(",")
@@ -694,4 +682,4 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
                 h = np.empty((len(fronts), d))
                 part.readinto(h)
                 take(fronts, h)
-    return None if each else records
+    return d if each else records

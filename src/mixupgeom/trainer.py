@@ -83,7 +83,7 @@ class SyntheticDataset:
         if self.samples_per_class < 1:
             raise FieldError("samples_per_class", "need at least one sample per class")
         if self.seed < 0:
-            raise ValueError(f"dataset seed must be non-negative, got {self.seed}")
+            raise FieldError("seed", f"dataset seed must be non-negative, got {self.seed}")
         for a in range(self.num_classes):
             for b in range(a + 1, self.num_classes):
                 dist = float(np.linalg.norm(means[a] - means[b]))
@@ -168,7 +168,7 @@ class TrainConfig:
         if self.classifier_mode == FIXED_ETF and self.etf_multiplier == 0:
             raise ValueError("etf_multiplier must be nonzero in fixed_etf mode")
         if self.seed < 0:
-            raise ValueError(f"training seed must be non-negative, got {self.seed}")
+            raise FieldError("seed", f"training seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import _BLOCK_FLOATS, Configuration
+from .mixup import _check_lambdas
+from .theory import Configuration
+
+# Logits per block of lambda in _configuration_terms (512 KB). It makes
+# no h, and at paper scale blocks of _floattext.CHUNK would be 16 times as many.
+_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,7 @@ def softmax_probs(w: np.ndarray, h: np.ndarray) -> np.ndarray:
 def per_sample_loss(w, h, i: int, ip: int, lam: float, cfg: UfmConfig) -> float:
     """Soft-target cross entropy against lam*e_i + (1-lam)*e_ip plus the
     feature decay (lambda_h/2)*|h|^2."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    _check_lambdas(lam)
     h = np.asarray(h, dtype=float)
     logp = _log_softmax(np.asarray(w) @ h)
     ce = -lam * logp[i] - (1.0 - lam) * logp[ip]
@@ -75,8 +79,7 @@ def per_sample_loss(w, h, i: int, ip: int, lam: float, cfg: UfmConfig) -> float:
 
 def per_sample_grad(w, h, i: int, ip: int, lam: float, cfg: UfmConfig) -> np.ndarray:
     """Analytic gradient W^T (p - target) + lambda_h * h."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    _check_lambdas(lam)
     w = np.asarray(w)
     h = np.asarray(h, dtype=float)
     p = softmax_probs(w, h)
@@ -137,9 +140,7 @@ def minimize_per_sample(
 def _values(logits, sq_norms, i, ip, lam, lambda_h) -> np.ndarray:
     """The per-sample values of records with these logits, squared
     feature norms, class pairs and mixing coefficients."""
-    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
-    if bad.size:
-        raise ValueError(f"lambda must be in [0, 1], got {bad[0]}")
+    _check_lambdas(lam)
     logp = _log_softmax(logits)
     n = np.arange(len(lam))
     ce = -lam * logp[n, i] - (1.0 - lam) * logp[n, ip]

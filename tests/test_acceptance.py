@@ -19,7 +19,7 @@ from mixupgeom.ufm import UfmConfig, minimize_per_sample, per_sample_grad
 
 TARGET_MEAN = 0.33457
 TARGET_AMPLIFIED = 0.33465
-FIG_PARAMS = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+FIG_PARAMS = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
 
 GRID = [
     (C, m, lh)
@@ -91,7 +91,7 @@ def test_criterion_3_stationarity_grid(capsys):
     worst_grad = 0.0
     worst_same = 0.0
     for C, m, lh in GRID:
-        params = TheoryParams(C=C, m=m, lambda_h=lh, d=C)
+        params = TheoryParams(C=C, m=m, lambda_h=lh)
         frame = build_simplex_etf(C, C, m, seed=0)
         cfg = UfmConfig(lambda_h=lh)
         same = theory.solve_same_class(params)
@@ -115,7 +115,7 @@ def test_criterion_4_oracle_equivalence(capsys):
     worst_uniq = 0.0
     rng = np.random.default_rng(99)
     for C, m, lh in GRID:
-        params = TheoryParams(C=C, m=m, lambda_h=lh, d=C)
+        params = TheoryParams(C=C, m=m, lambda_h=lh)
         frame = build_simplex_etf(C, C, m, seed=0)
         cfg = UfmConfig(lambda_h=lh)
         for lam in LAMBDA_GRID:

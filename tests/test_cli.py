@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixupgeom import calibration, cli, theory
+from mixupgeom import _floattext, calibration, cli, theory
 from mixupgeom.cli import main, parse_config
 from mixupgeom.etf import build_simplex_etf
 
@@ -47,6 +47,16 @@ def test_theory_solve_rejects_zero_samples(capsys):
 def test_theory_solve_rejects_an_infinite_alpha(capsys):
     code, stdout, stderr = run(["theory-solve", "--samples", "3", "--alpha", "inf"], capsys)
     assert (code, stdout, stderr) == (1, "", "error: alpha must be positive and finite, got inf\n")
+
+
+def test_theory_solve_rejects_a_dimension_below_the_class_count(tmp_path, capsys):
+    out = tmp_path / "features.csv"
+    code, stdout, stderr = run(
+        ["theory-solve", "--C", "10", "--d", "5", "--samples", "3", "--out", str(out)], capsys
+    )
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: feature dimension 5 must be >= class count 10\n"
+    assert not out.exists()
 
 
 def test_theory_solve_byte_determinism(tmp_path, capsys):
@@ -615,7 +625,7 @@ def test_project_of_a_file_without_rows_writes_the_header(tmp_path, capsys):
 def _wide_features(path):
     """theory-wide's feature CSV: C = 10, d = 1000, all 10 classes and 10
     lambda, 1000 rows of 1000 floats."""
-    params = theory.TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
+    params = theory.TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 1000, 3.0, seed=0)
     lams = list(np.random.default_rng(0).uniform(size=10))
     theory.features_to_csv(theory.generate_configuration(params, frame, range(10), lams), path)
@@ -623,7 +633,7 @@ def _wide_features(path):
 
 
 def test_project_of_a_thousand_wide_rows_holds_no_matrix(tmp_path, capsys):
-    # The rows would take 8 MB; each block of about 64K floats is
+    # The rows would take 8 MB; each piece of about 96 KB of text is
     # projected as it is parsed. The bound was fixed before the first run.
     feats, clf, out = tmp_path / "features.csv", tmp_path / "clf.csv", tmp_path / "p.csv"
     _write_rows(clf, _wide_features(feats))
@@ -643,7 +653,7 @@ def test_project_in_small_blocks_on_several_processes_keeps_every_byte(
     tmp_path, capsys, monkeypatch, center
 ):
     feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
-    params = theory.TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+    params = theory.TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     config = theory.generate_configuration(
         params, frame, [0, 1, 2], [0.0, 0.2, 0.5, 0.7, 1.0], amplified=True
@@ -652,9 +662,10 @@ def test_project_in_small_blocks_on_several_processes_keeps_every_byte(
     _write_rows(clf, np.random.default_rng(0).normal(size=(3, 100)))
     argv = ["project", "--features", str(feats), "--classifier", str(clf), *center]
     assert run([*argv, "--out", str(tmp_path / "p1.csv")], capsys)[0] == 0
-    # About 2 rows a piece of text, so that every process hands on several.
+    # About 2 rows a piece of text (CHUNK * WINDOW bytes), so that every
+    # process hands on several.
     longest = max(map(len, feats.read_bytes().split(b"\n")))
-    monkeypatch.setattr(theory, "_PIECE_BYTES", 2 * longest)
+    monkeypatch.setattr(_floattext, "CHUNK", 2 * longest // _floattext.WINDOW + 1)
     for n in (1, 2, 3):
         monkeypatch.setattr(theory, "_process_count", lambda floats: n)
         out = tmp_path / f"p{n}-small.csv"
@@ -676,8 +687,8 @@ def test_project_names_the_line_of_a_bad_row_in_a_child(
     rows[27] = "0,1,0.5,different_class,0,1.0,2.0"
     feats.write_text("class_i,class_ip,lambda,kind,amplified,h_0,h_1,h_2\n" + "\n".join(rows))
     _write_rows(clf, np.eye(3))
-    # About 2 rows a piece of text.
-    monkeypatch.setattr(theory, "_PIECE_BYTES", 80)
+    # About 2 rows a piece of text: CHUNK * WINDOW = 96 bytes.
+    monkeypatch.setattr(_floattext, "CHUNK", 4)
     monkeypatch.setattr(theory, "_process_count", lambda floats: processes)
     code, stdout, stderr = run(
         ["project", "--features", str(feats), "--classifier", str(clf), *center,
@@ -766,10 +777,10 @@ def test_a_negative_seed_flag_is_named(tmp_path, capsys):
 )
 def test_a_negative_seed_key_is_named(tmp_path, capsys, key, message):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{key} = -2\ntrain.epochs = 1\n")
+    cfg.write_text(f"train.epochs = 1\n{key} = -2\n")
     model = tmp_path / "m.json"
     code, stdout, stderr = run(["train", "--config", str(cfg), "--out", str(model)], capsys)
-    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+    assert (code, stdout, stderr) == (1, "", f"error: {cfg}:2: {key}: {message}\n")
     assert not model.exists()
 
 

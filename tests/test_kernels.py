@@ -75,7 +75,7 @@ lambdas = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @settings(max_examples=25, deadline=None)
 @given(C=classes, m=multipliers, lh=decays, lam=lambdas)
 def test_solution_over_the_domain(C, m, lh, lam):
-    ((_, (sol,)),) = solve_grid([TheoryParams(C=C, m=m, lambda_h=lh, d=C)], [lam])
+    ((_, (sol,)),) = solve_grid([TheoryParams(C=C, m=m, lambda_h=lh)], [lam])
     assert abs(outer_residual(sol.k_lambda, C, m * m, lh, lam)) <= 1e-12
     assert 0.0 < sol.p_i < 1.0 and 0.0 < sol.p_ip < 1.0
 
@@ -144,4 +144,4 @@ def test_cell_without_finite_logs_is_named():
     with pytest.raises(kernels.KernelSolveError, match=r"\(C=4, m2=1e-300, lh=1e\+300,"):
         kernels.solve_diff_k(4, 1e-300, 1e300, 0.5)
     with pytest.raises(kernels.KernelSolveError):
-        solve_grid([TheoryParams(C=3, m=1e150, lambda_h=1e-300, d=3)], [0.5])
+        solve_grid([TheoryParams(C=3, m=1e150, lambda_h=1e-300)], [0.5])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from mixupgeom.mixup import (
     mix,
     sample_lambdas,
 )
+from mixupgeom.theory import FeatureRecord, TheoryParams, solve_different_class, solve_grid
+from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss, total_objective
 
 
 def scalar_two_gamma(spec, n, rng):
@@ -80,6 +84,35 @@ def test_mix_validation():
         mix(inputs, labels, [-1], [0], [0.5], 2)
     with pytest.raises(ValueError, match="source index j=2"):
         mix(inputs, labels, [0], [2], [0.5], 2)
+
+
+def _lambda_calls():
+    """A call of each function that takes mixing coefficients, by name:
+    the scalar ones at lam, the others at 0.5, lam and 7.0."""
+    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3)
+    w, h, cfg = np.eye(3), np.zeros(3), UfmConfig(lambda_h=1e-3)
+    lams = lambda lam: [0.5, lam, 7.0]  # noqa: E731
+    return {
+        "solve_grid": lambda lam: solve_grid([params], lams(lam)),
+        "solve_different_class": lambda lam: solve_different_class(params, lam),
+        "per_sample_loss": lambda lam: per_sample_loss(w, h, 0, 1, lam, cfg),
+        "per_sample_grad": lambda lam: per_sample_grad(w, h, 0, 1, lam, cfg),
+        "total_objective": lambda lam: total_objective(
+            w, [FeatureRecord(0, 1, v, h) for v in lams(lam)], cfg
+        ),
+        "mix": lambda lam: mix([[1.0], [2.0]], [0, 1], [0, 1, 0], [1, 0, 0], lams(lam), 2),
+    }
+
+
+LAMBDA_CALLS = _lambda_calls()
+
+
+@pytest.mark.parametrize("name", list(LAMBDA_CALLS))
+@pytest.mark.parametrize("lam, text", [(float("nan"), "nan"), (-0.5, "-0.5"), (1.5, "1.5")])
+def test_the_first_lambda_outside_zero_one_is_named(name, lam, text):
+    message = f"lambda must be in [0, 1], got {text}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LAMBDA_CALLS[name](lam)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixupgeom import projection
+from mixupgeom import _floattext, projection
 from mixupgeom.etf import build_simplex_etf
 from mixupgeom.projection import (
     TRIANGLE,
@@ -96,7 +96,7 @@ def test_projected_points_follow_the_span_structure():
     # same-class points sit on the ray through their vertex; a
     # different-class point is exactly the image of its row combination,
     # i.e. the same coefficients applied to the projected directions
-    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     subset = [0, 1, 2]
     records = list(
@@ -129,7 +129,7 @@ def _random_rows(rng, n, d):
 def test_stacked_projection_is_per_row_project_vector_bit_for_bit(d):
     rng = np.random.default_rng(d)
     op = build_projection(rng.normal(size=(3, d)), rng.normal(size=d))
-    rows = projection._BLOCK_FLOATS // d
+    rows = _floattext.block_rows(d)
     for n in (0, 1, rows - 1, 2 * rows + 3):
         h = _random_rows(rng, n, d)
         points = project(op, h)

@@ -38,26 +38,24 @@ from mixupgeom.trainer import (
 )
 from mixupgeom.ufm import UfmConfig, per_sample_grad, per_sample_loss, total_objective
 
-PARAMS = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+PARAMS = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
 DATA = Path(__file__).parent / "data"
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        TheoryParams(C=1, m=1.0, lambda_h=1e-6, d=5)
+        TheoryParams(C=1, m=1.0, lambda_h=1e-6)
     with pytest.raises(ValueError):
-        TheoryParams(C=3, m=1.0, lambda_h=0.0, d=5)
-    with pytest.raises(ValueError):
-        TheoryParams(C=3, m=1.0, lambda_h=1e-6, d=2)
+        TheoryParams(C=3, m=1.0, lambda_h=0.0)
     for m in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"got {m}"):
-            TheoryParams(C=3, m=m, lambda_h=1e-6, d=5)
+            TheoryParams(C=3, m=m, lambda_h=1e-6)
     with pytest.raises(ValueError, match="got inf"):
-        TheoryParams(C=3, m=1.0, lambda_h=float("inf"), d=5)
+        TheoryParams(C=3, m=1.0, lambda_h=float("inf"))
     # m^2 overflows or underflows a float.
     for m in (1e200, -1e155, 1e-200):
         with pytest.raises(ValueError, match=re.escape(f"m={m} has no positive finite square")):
-            TheoryParams(C=3, m=m, lambda_h=1e-6, d=5)
+            TheoryParams(C=3, m=m, lambda_h=1e-6)
 
 
 def test_same_class_solution_structure():
@@ -145,7 +143,7 @@ def test_degenerate_lambdas_share_one_same_class_solve(monkeypatch):
 
 def test_grid_matches_cell_by_cell_solves():
     cells = [
-        TheoryParams(C=C, m=m, lambda_h=lh, d=C)
+        TheoryParams(C=C, m=m, lambda_h=lh)
         for C in (2, 3, 10)
         for m in (1.0, 3.0)
         for lh in (1e-6, 1e-2)
@@ -166,7 +164,7 @@ def test_p_i_monotone_in_lambda():
 
 
 def test_two_class_case():
-    params = TheoryParams(C=2, m=1.0, lambda_h=1e-3, d=2)
+    params = TheoryParams(C=2, m=1.0, lambda_h=1e-3)
     sol = solve_different_class(params, 0.3)
     assert sol.p_tail == 0.0
     assert sol.inner_i + sol.inner_ip == pytest.approx(0.0, abs=1e-12)
@@ -230,12 +228,12 @@ def test_amplified_configuration_increases_mean_loss():
 def test_configuration_matches_per_record_assembly():
     # generate_configuration builds each family with one broadcast; every
     # row must equal assemble_feature (and amplify) bit for bit.
-    for params, subset, lams in [
-        (PARAMS, [0, 1, 2], [0.0, 0.25, 0.5, 0.25, 1.0]),
-        (TheoryParams(C=2, m=1.5, lambda_h=1e-3, d=4), [1, 0], [0.3, 1.0]),
-        (PARAMS, [4], [0.6]),
+    for params, d, subset, lams in [
+        (PARAMS, 100, [0, 1, 2], [0.0, 0.25, 0.5, 0.25, 1.0]),
+        (TheoryParams(C=2, m=1.5, lambda_h=1e-3), 4, [1, 0], [0.3, 1.0]),
+        (PARAMS, 100, [4], [0.6]),
     ]:
-        frame = build_simplex_etf(params.C, params.d, params.m, seed=1)
+        frame = build_simplex_etf(params.C, d, params.m, seed=1)
         ((same, diff),) = solve_grid([params], lams)
         for amplified in (False, True):
             records = generate_configuration(params, frame, subset, lams, amplified)
@@ -254,24 +252,26 @@ def test_configuration_matches_per_record_assembly():
                 assert a.h.tobytes() == b.h.tobytes()
 
 
-TWO = TheoryParams(C=2, m=1.5, lambda_h=1e-3, d=4)
+TWO = TheoryParams(C=2, m=1.5, lambda_h=1e-3)
 
 
 @pytest.mark.parametrize(
-    "params, subset, amplified",
+    "params, d, subset, amplified",
     [
-        (PARAMS, [0, 1, 2], False),
-        (PARAMS, [0, 1, 2], True),
-        (TWO, [0, 1], False),
-        (TWO, [1, 0], True),
-        (PARAMS, [4], False),
+        (PARAMS, 100, [0, 1, 2], False),
+        (PARAMS, 100, [0, 1, 2], True),
+        (TWO, 4, [0, 1], False),
+        (TWO, 4, [1, 0], True),
+        (PARAMS, 100, [4], False),
     ],
     ids=["plain", "amplified", "two-class", "subset-1-0", "subset-4"],
 )
-def test_objective_from_coefficients_agrees_with_the_stacked_records(params, subset, amplified):
+def test_objective_from_coefficients_agrees_with_the_stacked_records(
+    params, d, subset, amplified
+):
     # The logits and norms come from the rows' products and Gram matrix,
     # not from each h, so the sum rounds differently: a few ulps at most.
-    frame = build_simplex_etf(params.C, params.d, params.m, seed=1)
+    frame = build_simplex_etf(params.C, d, params.m, seed=1)
     records = generate_configuration(params, frame, subset, [0.0, 0.3, 0.5, 1.0], amplified)
     stacked = [dataclasses.replace(r, h=r.h.copy()) for r in records]
     cfg = UfmConfig(lambda_h=params.lambda_h)
@@ -320,7 +320,7 @@ def test_configuration_and_objective_at_paper_scale_hold_no_matrix():
     # C = 10, d = 1000, all 10 classes and the paper's 5000 lambda:
     # 500 000 records, whose n x d matrix would take 4.0 GB. The bound
     # was fixed before the first run.
-    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 1000, 3.0, seed=0)
     lams = list(np.random.default_rng(0).uniform(size=5000))
     tracemalloc.start()
@@ -367,7 +367,7 @@ WRITER_CASES = pytest.mark.parametrize(
             [0.0, 0.2, 0.5, 0.5, 1.0], amplified=True,
         ),
         lambda: generate_configuration(
-            TheoryParams(C=2, m=1.0, lambda_h=1e-3, d=3),
+            TheoryParams(C=2, m=1.0, lambda_h=1e-3),
             build_simplex_etf(2, 3, 1.0, seed=0), [0, 1], [0.0, 0.7, 1.0],
         ),
         _extracted_records,
@@ -459,11 +459,9 @@ def _records_equal(a, b):
 
 def _split_io(monkeypatch, n):
     """Feature-CSV I/O forced onto n processes, whatever the machine has,
-    in blocks of 50 floats and text pieces of 100 bytes, so that each
-    process makes, formats or reads several."""
+    in blocks of 50 floats and text pieces of 50 * WINDOW = 1200 bytes,
+    so that each process makes, formats or reads several."""
     monkeypatch.setattr(theory, "_process_count", lambda floats: n)
-    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 50)
-    monkeypatch.setattr(theory, "_PIECE_BYTES", 100)
     monkeypatch.setattr(_floattext, "CHUNK", 50)
 
 
@@ -525,7 +523,7 @@ def test_each_gets_every_row_once_in_file_order_in_no_empty_block(
     path.write_bytes(b"\n".join(lines))
     _split_io(monkeypatch, processes)
     blocks = []
-    assert features_from_csv(path, lambda fronts, h: blocks.append((fronts, h))) is None
+    assert features_from_csv(path, lambda fronts, h: blocks.append((fronts, h))) == 100
     assert blocks and all(fronts for fronts, _ in blocks)
     _records_equal(_block_records(blocks), records)
 
@@ -541,18 +539,18 @@ def _block_records(blocks):
 
 
 def test_a_configuration_slice_is_its_records_bit_for_bit(monkeypatch):
-    # Blocks of 2 rows by default, so that a range spans several.
-    monkeypatch.setattr(theory, "_BLOCK_FLOATS", 200)
+    # Blocks of a few rows of 100 floats, so that a range spans several.
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     for amplified in (False, True):
         config = generate_configuration(
             PARAMS, frame, [2, 0, 1], [0.0, 0.3, 0.5, 1.0], amplified=amplified
         )
         listed = list(config)
-        for lo, hi, step in [(0, len(config), None), (3, 17, None), (5, 6, 3), (29, 36, 4),
+        for lo, hi, rows in [(0, len(config), 2), (3, 17, 2), (5, 6, 3), (29, 36, 4),
                              (10, 3, 1), (1, 30, 7), (0, len(config), len(config))]:
-            blocks = list(config.blocks(lo, hi, step))
-            assert all(0 < len(fronts) <= (step or 2) for fronts, _ in blocks)
+            monkeypatch.setattr(_floattext, "CHUNK", 100 * rows)
+            blocks = list(config.blocks(lo, hi))
+            assert all(0 < len(fronts) <= rows for fronts, _ in blocks)
             _records_equal(_block_records(blocks), listed[lo:hi])
 
 
@@ -757,7 +755,7 @@ def test_reading_a_thousand_by_thousand_file_holds_under_1_6_megabytes(tmp_path,
     # One process, as on a single CPU. The bound was fixed before the
     # first run.
     monkeypatch.setattr(theory, "_process_count", lambda floats: 1)
-    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=1000)
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 1000, 3.0, seed=0)
     lams = np.random.default_rng(0).uniform(size=10)
     path = tmp_path / "features.csv"
@@ -839,7 +837,7 @@ def _assert_stationary(frame, rec, lam, lh):
 @settings(max_examples=100, deadline=None)
 @given(C=domain_classes, m=domain_multipliers, lh=domain_decays, lam=domain_lambdas)
 def test_same_class_solution_over_the_domain(C, m, lh, lam):
-    sol = solve_same_class(TheoryParams(C=C, m=m, lambda_h=lh, d=C))
+    sol = solve_same_class(TheoryParams(C=C, m=m, lambda_h=lh))
     assert sol.k < 0.0 and sol.coeff > 0.0
     assert sol.residual <= SAME_RESIDUAL
     frame = _identity_frame(C, m)
@@ -850,7 +848,7 @@ def test_same_class_solution_over_the_domain(C, m, lh, lam):
 @settings(max_examples=100, deadline=None)
 @given(m=domain_multipliers, lh=domain_decays, lam=domain_lambdas)
 def test_two_class_solution_over_the_domain(m, lh, lam):
-    sol = solve_different_class(TheoryParams(C=2, m=m, lambda_h=lh, d=2), lam)
+    sol = solve_different_class(TheoryParams(C=2, m=m, lambda_h=lh), lam)
     assert 0.0 < sol.p_i < 1.0 and 0.0 < sol.p_ip < 1.0
     if 0.0 < lam < 1.0:
         assert sol.inner_ip == -sol.inner_i
@@ -865,6 +863,6 @@ def test_two_class_solution_over_the_domain(m, lh, lam):
 # bound of 2.3e-13) until solve_diff_k took its Newton step on x - k.
 @example(C=4, m=math.exp(-2.875), lh=10.0, lam=0.75)
 def test_different_class_feature_is_stationary_over_the_domain(C, m, lh, lam):
-    sol = solve_different_class(TheoryParams(C=C, m=m, lambda_h=lh, d=C), lam)
+    sol = solve_different_class(TheoryParams(C=C, m=m, lambda_h=lh), lam)
     frame = _identity_frame(C, m)
     _assert_stationary(frame, assemble_feature(sol, frame, 0, C - 1), lam, lh)

@@ -40,7 +40,7 @@ def test_zero_feature_loss_is_log_c():
 def test_loss_at_balanced_optimum_is_log_two():
     # At lam = 0.5 with tiny decay the two target classes split the mass
     # evenly, so the cross entropy approaches log 2.
-    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     sol = solve_different_class(params, 0.5)
     rec = assemble_feature(sol, frame, 0, 1)
@@ -76,7 +76,7 @@ def test_lambda_validation():
 
 
 def test_minimizer_matches_closed_form_and_is_init_independent():
-    params = TheoryParams(C=5, m=3.0, lambda_h=1e-2, d=5)
+    params = TheoryParams(C=5, m=3.0, lambda_h=1e-2)
     frame = build_simplex_etf(5, 5, 3.0, seed=0)
     cfg = UfmConfig(lambda_h=1e-2)
     sol = solve_different_class(params, 0.3)
@@ -101,7 +101,7 @@ def test_minimizer_reaches_tolerance():
 def test_total_objective_mean():
     frame = build_simplex_etf(3, 4, 1.0, seed=0)
     cfg = UfmConfig(lambda_h=1e-3)
-    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3, d=4)
+    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3)
     sol = solve_different_class(params, 0.4)
     recs = [assemble_feature(sol, frame, 0, 1), assemble_feature(sol, frame, 1, 2)]
     report = total_objective(frame.rows, recs, cfg)
@@ -117,7 +117,7 @@ def test_total_objective_matches_per_sample_loop_on_a_configuration():
     # One row-wise log-softmax against the per-record loop over 900
     # records, with degenerate lambdas; the matrix product sums in another
     # order, so the tolerance is a few ulps of the mean per record.
-    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6, d=100)
+    params = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     lams = [0.0, 1.0] + list(np.random.default_rng(0).uniform(size=98))
     records = generate_configuration(params, frame, [0, 1, 2], lams, amplified=True)
@@ -131,7 +131,7 @@ def test_total_objective_matches_per_sample_loop_on_a_configuration():
 
 def test_total_objective_rejects_lambda_outside_unit_interval():
     frame = build_simplex_etf(3, 4, 1.0, seed=0)
-    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3, d=4)
+    params = TheoryParams(C=3, m=1.0, lambda_h=1e-3)
     rec = assemble_feature(solve_different_class(params, 0.4), frame, 0, 1)
     rec.lam = 1.5
     with pytest.raises(ValueError, match="got 1.5"):
