@@ -273,15 +273,16 @@ def cmd_project(args) -> int:
     # Without --center-mean each block of rows is projected as it arrives;
     # with it the blocks are held until the center is known. Rows of the
     # wrong width are parsed and not kept, so that a bad row later in the
-    # file is still the error reported.
-    fronts, blocks = [], []
+    # file is still the error reported. Every block has the header's width d.
+    fronts, blocks, d = [], [], None
 
     def each(tags, h):
+        nonlocal d
         fronts.extend(tags)
-        if h.shape[1] == w.shape[1]:
+        if (d := h.shape[1]) == w.shape[1]:
             blocks.append(h if args.center_mean else projection.project(op, h))
 
-    d = theory.features_from_csv(args.features, each)
+    theory.features_from_csv(args.features, each)
     if fronts and d != w.shape[1]:
         raise ValueError(
             f"{args.features} holds features of width {d}, "

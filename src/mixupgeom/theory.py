@@ -626,7 +626,7 @@ def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
                 put(*piece)
 
 
-def features_from_csv(path, each=None) -> list[FeatureRecord] | int:
+def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
     """Read features_to_csv output. A row that does not match the header
     raises ValueError naming path:line: a count of h values other than
     the header's, an unknown kind, a kind that does not follow from the
@@ -644,7 +644,7 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | int:
     Without each, the records are returned. With each, each(fronts, h) is
     called for every piece in file order, with the _front tuple of each
     row and their h as a rows x d array, every row once and no piece
-    empty, and the header's d is returned: no step holds every row.
+    empty, and nothing is returned: no step holds every row.
     """
     with open(path, "rb") as fh:
         header = _utf8(fh.readline(), path, 1).strip().split(",")
@@ -682,4 +682,4 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | int:
                 h = np.empty((len(fronts), d))
                 part.readinto(h)
                 take(fronts, h)
-    return d if each else records
+    return None if each else records

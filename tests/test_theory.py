@@ -459,10 +459,11 @@ def _records_equal(a, b):
 
 def _split_io(monkeypatch, n):
     """Feature-CSV I/O forced onto n processes, whatever the machine has,
-    in blocks of 50 floats and text pieces of 50 * WINDOW = 1200 bytes,
-    so that each process makes, formats or reads several."""
+    in blocks of about 4 floats (one row at d = 100) and text pieces of
+    CHUNK * WINDOW = 96 bytes (about 2 rows at d = 3), so that each
+    process makes, formats or reads several."""
     monkeypatch.setattr(theory, "_process_count", lambda floats: n)
-    monkeypatch.setattr(_floattext, "CHUNK", 50)
+    monkeypatch.setattr(_floattext, "CHUNK", 4)
 
 
 @pytest.fixture(params=[2, 3], ids=["2-processes", "3-processes"])
@@ -523,7 +524,7 @@ def test_each_gets_every_row_once_in_file_order_in_no_empty_block(
     path.write_bytes(b"\n".join(lines))
     _split_io(monkeypatch, processes)
     blocks = []
-    assert features_from_csv(path, lambda fronts, h: blocks.append((fronts, h))) == 100
+    assert features_from_csv(path, lambda fronts, h: blocks.append((fronts, h))) is None
     assert blocks and all(fronts for fronts, _ in blocks)
     _records_equal(_block_records(blocks), records)
 
