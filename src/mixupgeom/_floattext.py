@@ -9,8 +9,7 @@ integral), and +-0.0, is converted by the common path of Ryu (Ulf Adams,
 arithmetic, and repr's layout is applied to its digits. Every other
 float goes through repr one at a time: exponent form, integral values,
 subnormals, inf and nan, powers of two and Ryu's rare trailing-zeros
-case. A pass in which fewer than half of the floats can take that path
-goes through repr whole.
+case.
 
 floats reads fields of text, about CHUNK at a time: -?D+.D+ in numpy
 integer arithmetic (SWAR digit conversion, then Clinger's exact path or
@@ -187,12 +186,6 @@ def _text(x, sep):
         digits, exponent, fast = _digits(bits, biased)
     else:
         some = np.flatnonzero(maybe)
-        if 2 * some.size < x.size:
-            # Most floats go through repr: all do, and no layout is made.
-            parts = [""] * (2 * x.size)
-            parts[::2] = sep.tobytes().decode("latin-1")
-            parts[1::2] = map(repr, x.tolist())
-            return "".join(parts).replace("\0", "").encode()
         digits = np.zeros(x.size, dtype=np.uint64)
         exponent = np.zeros(x.size, dtype=np.intp)
         fast = np.zeros(x.size, dtype=bool)

@@ -85,12 +85,15 @@ def predictions_from_csv(path):
     """(confidences, predicted, labels) of a CSV with the header
     confidence,predicted,label. A row without three fields, with a
     confidence outside [0, 1] or a negative class id, or a line that is
-    not UTF-8, raises ValueError naming path:line."""
+    not UTF-8, raises ValueError naming path:line; a file without rows
+    raises one naming path."""
     lines = _read_text(path).split("\n")
     if lines[0].strip() != PREDICTIONS_HEADER:
         raise _bad_header(path, "prediction", PREDICTIONS_HEADER)
     rows = _parse_rows(lines[1:], path, "prediction", _prediction, start=2)
-    conf, pred, lab = zip(*rows) if rows else ((), (), ())
+    if not rows:
+        raise ValueError(f"{path}: empty prediction file")
+    conf, pred, lab = zip(*rows)
     return np.array(conf, dtype=float), np.array(pred, dtype=int), np.array(lab, dtype=int)
 
 

@@ -256,9 +256,9 @@ def cmd_extract(args) -> int:
     batch = make_mixup_batch(
         inputs, labels, BetaSpec(args.alpha), args.count, rng, model.num_classes
     )
-    records = trainer.extract_activations(model, batch)
-    _atomic_write(args.out, lambda p: theory.features_to_csv(records, p))
-    print(f"wrote {len(records)} activation records")
+    fronts, h = trainer.extract_activations(model, batch)
+    _atomic_write(args.out, lambda p: theory.features_to_csv((fronts, h), p))
+    print(f"wrote {len(fronts)} activation records")
     return 0
 
 

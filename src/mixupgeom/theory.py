@@ -253,11 +253,6 @@ class Configuration:
     def __len__(self):
         return len(self.lams) * len(self.classes) ** 2
 
-    def __iter__(self):
-        for fronts, h in self.blocks():
-            for (i, ip, lam, amplified), row in zip(fronts, h):
-                yield FeatureRecord(i, ip, lam, row, amplified)
-
     def blocks(self, lo=0, hi=None):
         """(fronts, h) of the records lo, ..., hi - 1, about
         _floattext.CHUNK floats at a time (_floattext.block_rows): the
@@ -318,19 +313,9 @@ CSV_FRONT = ["class_i", "class_ip", "lambda", "kind", "amplified"]
 # in a 39 MB process that had run a theory-solve, a fork, exit and wait
 # and the re-faulting of the copy-on-write heap after it took 4.3 ms more
 # CPU than no fork (median of 60), and a child that formats or parses
-# also copies every page it writes. The sizes were set when the writer
-# formatted each float with repr and the reader parsed each with float():
-# then, writing a file and reading it back in two processes against one
-# (medians of 7-15 runs on a 2-vCPU guest that shared its CPUs with other
-# load) took 18-19% more wall time at 90 000 floats, 21-36% less at
-# 250 000 and 37-44% less at 500 000 and 1 000 000. With the numpy
-# formatter and reader of _floattext, a theory-wide pass (1 000 000
-# floats written and read back; 20 s e2ebench runs at seed 0 on the same
-# kind of guest) took 0.37-0.40 s with the fork (10 runs), and 3 runs
-# each took 0.60-0.62 s with FLOOR raised so that no second process
-# starts, 0.47-0.48 s with only the reader in one process, 0.49-0.54 s
-# with only the writer in one and 0.76-0.82 s with threads in place of
-# os.fork. Sizes below 1 000 000 floats were not measured again.
+# also copies every page it writes. A theory-wide pass (1 000 000 floats
+# written and read back; 20 s e2ebench runs at seed 0 on a 2-vCPU guest)
+# took 0.37-0.40 s with the fork and 0.60-0.62 s in one process.
 FLOOR = 250_000
 
 
@@ -456,43 +441,43 @@ def _write_rows(blocks, first: int, fh, same_texts) -> None:
         first += len(fronts)
 
 
-def features_to_csv(records, path) -> None:
+def features_to_csv(rows, path) -> None:
     """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
-    one row per record; the kind follows from the class pair. An h value
-    that is not finite raises ValueError naming its record, counted from
-    0. The records are cut into one contiguous range per process
+    one row per record of rows: a Configuration, or a (fronts, h) pair of
+    (class_i, class_ip, lambda, amplified) tuples and a len(fronts) x d
+    array. The kind follows from the class pair. An h value that is not
+    finite raises ValueError naming its record, counted from 0. The
+    records are cut into one contiguous range per process
     (_process_count), each written in blocks of about _floattext.CHUNK
-    floats (_floattext.block_rows: Configuration.blocks, or slices of a
-    list of records).
-    The first range is written to path, every other by a child of _forked
-    to its part, in path's folder, and the parts are appended to path in
-    order. Each same-class row of a Configuration is formatted once,
-    before any fork."""
-    if isinstance(records, Configuration):
-        d, classes = records.rows.shape[1], records.classes
-        same = records.same_coeff * records.rows[classes]
+    floats (_floattext.block_rows: Configuration.blocks, or slices of the
+    pair). The first range is written to path, every other by a child of
+    _forked to its part, in path's folder, and the parts are appended to
+    path in order. Each same-class row of a Configuration is formatted
+    once, before any fork."""
+    if isinstance(rows, Configuration):
+        count, d, classes = len(rows), rows.rows.shape[1], rows.classes
+        same = rows.same_coeff * rows.rows[classes]
         # A row that is not finite is left to _write_rows, which names it.
         ok = np.isfinite(same).all(axis=1)
         same_texts = {a: t for a, t, f in zip(classes, _floattext.rows_text(same), ok) if f}
-        blocks = records.blocks
+        blocks = rows.blocks
     else:
-        records, same_texts = list(records), {}
-        if not records:
+        fronts, h = rows
+        if np.ndim(h) != 2 or len(h) != len(fronts):
+            n = len(fronts)
+            raise ValueError(f"h has shape {np.shape(h)}, {n} fronts need shape ({n}, d)")
+        if not fronts:
             raise ValueError("no records to write")
-        d = len(records[0].h)
-        for r in records:
-            if np.shape(r.h) != (d,):
-                raise ValueError(f"feature has shape {np.shape(r.h)}, the file has {d} values")
+        (count, d), same_texts = h.shape, {}
 
         def blocks(lo, hi):
             step = _floattext.block_rows(d)
             for first in range(lo, hi, step):
-                batch = records[first : min(first + step, hi)]
-                h = np.array([r.h for r in batch], dtype=float).reshape(len(batch), d)
-                yield [(r.class_i, r.class_ip, r.lam, r.amplified) for r in batch], h
+                last = min(first + step, hi)
+                yield fronts[first:last], h[first:last]
 
-    n = _process_count(len(records) * d)
-    cuts = [len(records) * j // n for j in range(n + 1)]
+    n = _process_count(count * d)
+    cuts = [count * j // n for j in range(n + 1)]
     folder = os.path.dirname(os.path.abspath(path))
     with open(path, "w") as out:
         out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]) + "\n")
@@ -626,12 +611,14 @@ def _read_blocks(path, lo: int, hi: int, d: int, put) -> None:
                 put(*piece)
 
 
-def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
-    """Read features_to_csv output. A row that does not match the header
-    raises ValueError naming path:line: a count of h values other than
-    the header's, an unknown kind, a kind that does not follow from the
-    class pair, an amplified flag other than 0/1, a negative class id, a
-    lambda outside [0, 1] or an h value that is not finite.
+def features_from_csv(path, each) -> None:
+    """Read features_to_csv output. A header other than
+    class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1} raises
+    ValueError naming path:1. A row that does not match the header raises
+    ValueError naming path:line: a count of h values other than the
+    header's, an unknown kind, a kind that does not follow from the class
+    pair, an amplified flag other than 0/1, a negative class id, a lambda
+    outside [0, 1] or an h value that is not finite.
 
     The rows are cut at line starts into one contiguous byte range per
     process (_process_count, estimated from the first row's length), and
@@ -641,16 +628,15 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
     directory): its fronts pickled, then its h values as raw doubles. The
     parts are read back piece by piece once every child has ended.
 
-    Without each, the records are returned. With each, each(fronts, h) is
-    called for every piece in file order, with the _front tuple of each
-    row and their h as a rows x d array, every row once and no piece
-    empty, and nothing is returned: no step holds every row.
+    each(fronts, h) is called for every piece in file order, with the
+    _front tuple of each row and their h as a rows x d array, every row
+    once and no piece empty; no step holds every row.
     """
     with open(path, "rb") as fh:
         header = _utf8(fh.readline(), path, 1).strip().split(",")
-        if header[:5] != CSV_FRONT:
-            raise _bad_header(path, "feature", ",".join(CSV_FRONT) + ",h_0,...")
         d = len(header) - 5
+        if header != CSV_FRONT + [f"h_{j}" for j in range(d)]:
+            raise _bad_header(path, "feature", ",".join(CSV_FRONT) + ",h_0,...")
         start = fh.tell()
         size = os.fstat(fh.fileno()).st_size
         first = len(fh.readline())
@@ -661,19 +647,13 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
             fh.readline()
             cuts.append(fh.tell())
         cuts.append(size)
-    records = []
-
-    def keep(fronts, h):
-        records.extend(FeatureRecord(i, ip, lam, row, a) for (i, ip, lam, a), row in zip(fronts, h))
-
-    take = each or keep
 
     def read(j, part):
         def put(fronts, h):
             pickle.dump(fronts, part)
             part.write(h)
 
-        _read_blocks(path, cuts[j], cuts[j + 1], d, put if part else take)
+        _read_blocks(path, cuts[j], cuts[j + 1], d, put if part else each)
 
     with _forked(read, n, None, "w+b") as parts:
         for part in parts:
@@ -681,5 +661,4 @@ def features_from_csv(path, each=None) -> list[FeatureRecord] | None:
                 fronts = pickle.load(part)
                 h = np.empty((len(fronts), d))
                 part.readinto(h)
-                take(fronts, h)
-    return None if each else records
+                each(fronts, h)

@@ -24,7 +24,6 @@ from .etf import (
     etf_deviation_metrics,
 )
 from .mixup import BetaSpec, MixupBatch, _check_labels, _draw, _mix_rows
-from .theory import FeatureRecord
 from .ufm import _log_softmax
 
 RELU = "relu"
@@ -405,12 +404,14 @@ def accuracy(model: TrainedModel, x: np.ndarray, labels: np.ndarray) -> float:
     return float((pred == np.asarray(labels)).mean())
 
 
-def extract_activations(model: TrainedModel, batch: MixupBatch) -> list[FeatureRecord]:
-    """Penultimate post-activation vector of each mixed sample, tagged
-    with its source classes and lambda; order preserved."""
+def extract_activations(model: TrainedModel, batch: MixupBatch):
+    """(fronts, h) of the mixed samples, in batch order: fronts the
+    (class_i, class_ip, lambda, amplified) of each, amplified False, and
+    h their last post-activation vectors as a rows x width array, from
+    one forward pass."""
     post, _ = _forward(model, batch.x)
     tags = (batch.class_i.tolist(), batch.class_ip.tolist(), batch.lam.tolist())
-    return [FeatureRecord(i, ip, lam, h) for i, ip, lam, h in zip(*tags, post[-1])]
+    return [(i, ip, lam, False) for i, ip, lam in zip(*tags)], post[-1]
 
 
 def layer_trajectory(model: TrainedModel, x: np.ndarray) -> list:
@@ -533,14 +534,15 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
 
 
 def dataset_from_csv(text: str, source: str = "<string>", num_classes: int | None = None):
-    """Parse dataset_to_csv output into (inputs, labels). A row that does
-    not parse, holds an input that is not finite, whose width differs
+    """Parse dataset_to_csv output into (inputs, labels). A header other
+    than label,x_0,...,x_{w-1} with w >= 1 raises ValueError naming
+    source:1. A row that does not parse, holds an input that is not finite, whose width differs
     from the header's or, given num_classes, whose label is not in
     [0, num_classes) raises ValueError naming source:line."""
     lines = text.split("\n")
-    if not lines[0].startswith("label,"):
-        raise _bad_header(source, "dataset", "label,x_0,...")
     width = lines[0].count(",")
+    if lines[0].strip() != "label," + ",".join(f"x_{j}" for j in range(width)):
+        raise _bad_header(source, "dataset", "label,x_0,...")
 
     def parse(line):
         parts = line.split(",")

@@ -310,7 +310,7 @@ def test_criterion_10_desk_scale_phenomena(capsys):
     # the clean training data is subtracted, as in the planar view)
     every10 = np.arange(0, len(x), 10)
     clean = mix(x, y, every10, every10, np.ones(len(every10)), 3)
-    center = np.mean([r.h for r in trainer.extract_activations(model, clean)], axis=0)
+    center = np.mean(trainer.extract_activations(model, clean)[1], axis=0)
     rng = np.random.default_rng(1)
     pairs = []
     for c in range(3):
@@ -320,9 +320,9 @@ def test_criterion_10_desk_scale_phenomena(capsys):
     i, j = np.array(pairs).T
     probes = mix(x, y, i, j, np.full(len(i), 0.5), 3)
     cosines = []
-    for rec in trainer.extract_activations(model, probes):
-        h = rec.h - center
-        w = model.clf_w[rec.class_i]
+    for (class_i, _, _, _), row in zip(*trainer.extract_activations(model, probes)):
+        h = row - center
+        w = model.clf_w[class_i]
         cosines.append(float(h @ w / (np.linalg.norm(h) * np.linalg.norm(w))))
     mean_cos = float(np.mean(cosines))
     ok_b = mean_cos >= 0.9
@@ -346,8 +346,7 @@ def test_criterion_10_desk_scale_phenomena(capsys):
     for c in range(3):
         idx = np.flatnonzero(y == c)[:100]
         clean = mix(x, y, idx, idx, np.ones(len(idx)), 3)
-        recs = trainer.extract_activations(mse, clean)
-        mu[c] = np.mean([r.h for r in recs], axis=0)
+        mu[c] = np.mean(trainer.extract_activations(mse, clean)[1], axis=0)
     basis = np.stack([mu[0], mu[1]], axis=1)
     lams, i, j = [], [], []
     rng = np.random.default_rng(2)
@@ -357,8 +356,8 @@ def test_criterion_10_desk_scale_phenomena(capsys):
             j.append(rng.choice(np.flatnonzero(y == 1)))
             lams.append(lam)
     coefs = []
-    for rec in trainer.extract_activations(mse, mix(x, y, i, j, lams, 3)):
-        coef, *_ = np.linalg.lstsq(basis, rec.h, rcond=None)
+    for row in trainer.extract_activations(mse, mix(x, y, i, j, lams, 3))[1]:
+        coef, *_ = np.linalg.lstsq(basis, row, rcond=None)
         coefs.append(coef[0])
     r = float(np.corrcoef(lams, coefs)[0, 1])
     ok_e = r >= 0.9

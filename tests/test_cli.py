@@ -1085,7 +1085,18 @@ def test_every_reader_names_the_path_and_line_of_a_bad_row(tmp_path, capsys, cas
     "what, header, expected",
     [
         ("feature", "class_i,class_ip,lambda,h_0", "class_i,class_ip,lambda,kind,amplified,h_0,..."),
+        (
+            "feature",
+            "class_i,class_ip,lambda,kind,amplified,foo,bar,baz",
+            "class_i,class_ip,lambda,kind,amplified,h_0,...",
+        ),
+        (
+            "feature",
+            "class_i,class_ip,lambda,kind,amplified,h_0,h_0,h_0",
+            "class_i,class_ip,lambda,kind,amplified,h_0,...",
+        ),
         ("dataset", "x_0,x_1", "label,x_0,..."),
+        ("dataset", "label,y,z", "label,x_0,..."),
         ("prediction", "confidence,label,predicted", "confidence,predicted,label"),
     ],
 )
@@ -1103,6 +1114,24 @@ def test_every_reader_names_line_1_of_a_wrong_header(tmp_path, capsys, what, hea
     code, stdout, stderr = run(argv, capsys)
     assert (code, stdout) == (1, "")
     assert stderr == f"error: {path}:1: expected {what} header '{expected}'\n"
+
+
+@pytest.mark.parametrize("what", ["classifier", "dataset", "prediction"])
+def test_every_reader_names_a_file_without_rows(tmp_path, capsys, what):
+    path = tmp_path / "input.csv"
+    if what == "classifier":
+        path.write_text("\n")
+        argv = ["etf-metrics", "--classifier", str(path)]
+    elif what == "dataset":
+        model, _ = _trained(tmp_path, capsys)
+        path.write_text("label,x_0,x_1\n\n")
+        argv = ["extract", "--model", str(model), "--dataset", str(path),
+                "--out", str(tmp_path / "acts.csv")]
+    else:
+        path.write_text("confidence,predicted,label\n")
+        argv = ["ece", "--predictions", str(path)]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout, stderr) == (1, "", f"error: {path}: empty {what} file\n")
 
 
 def test_etf_metrics_on_exact_frame(tmp_path, capsys):

@@ -99,25 +99,21 @@ def test_projected_points_follow_the_span_structure():
     params = TheoryParams(C=10, m=3.0, lambda_h=1e-6)
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     subset = [0, 1, 2]
-    records = list(
-        generate_configuration(params, frame, subset, list(np.linspace(0.05, 0.95, 10)))
-    )
+    config = generate_configuration(params, frame, subset, list(np.linspace(0.05, 0.95, 10)))
     op = build_projection(frame.rows[subset])
-    points = project(op, np.array([rec.h for rec in records]))
     verts = {c: project_vector(op, frame.rows[c]) for c in subset}
-    for rec, p in zip(records, points):
-        if rec.kind == "same_class":
-            v = verts[rec.class_i]
-            cross = p[0] * v[1] - p[1] * v[0]
-            assert abs(cross) < 1e-6
-            assert p @ v > 0  # same side of the origin
-        else:
-            basis = np.stack(
-                [frame.rows[rec.class_i], frame.rows[rec.class_ip]]
-            )
-            coef, *_ = np.linalg.lstsq(basis.T, rec.h, rcond=None)
-            expected = coef[0] * verts[rec.class_i] + coef[1] * verts[rec.class_ip]
-            assert np.linalg.norm(p - expected) < 1e-6
+    for fronts, h in config.blocks():
+        for (i, ip, _, _), row, p in zip(fronts, h, project(op, h)):
+            if i == ip:
+                v = verts[i]
+                cross = p[0] * v[1] - p[1] * v[0]
+                assert abs(cross) < 1e-6
+                assert p @ v > 0  # same side of the origin
+            else:
+                basis = np.stack([frame.rows[i], frame.rows[ip]])
+                coef, *_ = np.linalg.lstsq(basis.T, row, rcond=None)
+                expected = coef[0] * verts[i] + coef[1] * verts[ip]
+                assert np.linalg.norm(p - expected) < 1e-6
 
 
 def _random_rows(rng, n, d):

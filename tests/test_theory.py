@@ -1,5 +1,4 @@
 import array
-import dataclasses
 import math
 import os
 import re
@@ -199,7 +198,7 @@ def test_generate_configuration_order_and_count():
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     lams = [0.25, 0.75]
     config = generate_configuration(PARAMS, frame, [0, 1, 2], lams)
-    records = list(config)
+    records = _records(config)
     assert len(config) == len(records) == len(lams) * 9
     # lambda-major, then ordered pair in nested subset order
     assert records[0].lam == 0.25 and records[9].lam == 0.75
@@ -216,7 +215,7 @@ def test_amplified_configuration_increases_mean_loss():
         return np.mean(
             [
                 per_sample_loss(frame.rows, r.h, r.class_i, r.class_ip, r.lam, cfg)
-                for r in records
+                for r in _records(records)
             ]
         )
 
@@ -245,7 +244,7 @@ def test_configuration_matches_per_record_assembly():
                         rec.lam = lam
                         expected.append(amplify(rec, frame) if amplified else rec)
             assert len(records) == len(expected)
-            for a, b in zip(records, expected):
+            for a, b in zip(_records(records), expected):
                 assert (a.class_i, a.class_ip, a.lam, a.kind, a.amplified) == (
                     b.class_i, b.class_ip, b.lam, b.kind, b.amplified
                 )
@@ -273,24 +272,25 @@ def test_objective_from_coefficients_agrees_with_the_stacked_records(
     # not from each h, so the sum rounds differently: a few ulps at most.
     frame = build_simplex_etf(params.C, d, params.m, seed=1)
     records = generate_configuration(params, frame, subset, [0.0, 0.3, 0.5, 1.0], amplified)
-    stacked = [dataclasses.replace(r, h=r.h.copy()) for r in records]
+    stacked = _records(records)
     cfg = UfmConfig(lambda_h=params.lambda_h)
     assert total_objective(frame.rows, records, cfg).mean_per_sample == pytest.approx(
         total_objective(frame.rows, stacked, cfg).mean_per_sample, rel=1e-15, abs=0.0
     )
 
 
-def test_a_configuration_is_a_sequence_of_records_made_on_demand():
+def test_a_configuration_makes_its_blocks_on_demand():
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
     records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5], amplified=True)
-    listed, again = list(records), list(records)
-    assert len(records) == len(listed) == 18
-    # A record is made afresh: changing one, same-class (0) or not (5),
-    # changes nothing held.
+    (fronts, h), = records.blocks()
+    again = _records(records)
+    assert len(records) == len(fronts) == len(again) == 18
+    # A block is made afresh: changing one, a same-class row (0) or not
+    # (5), changes nothing held.
     for k in (0, 5):
-        listed[k].h[:] = 0.0
-        listed[k].lam = 0.9
-    _records_equal(records, again)
+        h[k] = 0.0
+        fronts[k] = (*fronts[k][:2], 0.9, fronts[k][3])
+    _records_equal(_records(records), again)
 
 
 def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monkeypatch):
@@ -298,7 +298,9 @@ def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monke
     lams = [0.2, 0.5, 0.9]
     records = generate_configuration(PARAMS, frame, [0, 1, 2], lams)
     for c in (0, 1, 2):
-        rows = [r.h.tobytes() for r in records if r.kind == SAME_CLASS and r.class_i == c]
+        rows = [
+            r.h.tobytes() for r in _records(records) if r.kind == SAME_CLASS and r.class_i == c
+        ]
         assert len(rows) == len(lams) and all(h == rows[0] for h in rows)
     formatted = []
 
@@ -334,10 +336,11 @@ def test_configuration_and_objective_at_paper_scale_hold_no_matrix():
     assert peak < 8_000_000
 
 
-def reference_features_csv(records) -> str:
+def reference_features_csv(rows) -> str:
     """The per-element writer features_to_csv replaced: repr of every
-    numpy scalar, one line per record."""
-    records = list(records)
+    numpy scalar, one line per record of a Configuration or a (fronts, h)
+    pair."""
+    records = _records(rows)
     d = len(records[0].h)
     lines = ["class_i,class_ip,lambda,kind,amplified," + ",".join(
         f"h_{j}" for j in range(d)
@@ -348,7 +351,7 @@ def reference_features_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _extracted_records():
+def _extracted_rows():
     data = make_synthetic(default_dataset_spec(seed=0, samples_per_class=20))
     model = train(data, TrainConfig(hidden_layers=2, width=8, epochs=2, seed=0))
     batch = make_mixup_batch(*data, BetaSpec(0.05), 60, np.random.default_rng(0), 3)
@@ -370,7 +373,7 @@ WRITER_CASES = pytest.mark.parametrize(
             TheoryParams(C=2, m=1.0, lambda_h=1e-3),
             build_simplex_etf(2, 3, 1.0, seed=0), [0, 1], [0.0, 0.7, 1.0],
         ),
-        _extracted_records,
+        _extracted_rows,
     ],
     ids=["plain", "amplified", "two-class", "extracted"],
 )
@@ -389,9 +392,9 @@ def test_feature_csv_round_trip(tmp_path):
     records = generate_configuration(PARAMS, frame, [0, 1], [0.3])
     path = tmp_path / "features.csv"
     features_to_csv(records, path)
-    loaded = features_from_csv(path)
+    loaded = _read_records(path)
     assert len(loaded) == len(records)
-    for a, b in zip(records, loaded):
+    for a, b in zip(_records(records), loaded):
         assert (a.class_i, a.class_ip, a.lam, a.kind, a.amplified) == (
             b.class_i,
             b.class_ip,
@@ -406,7 +409,7 @@ def test_feature_csv_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("class_i,class_ip,lambda,kind,amplified,h_0\n0,1,x,same_class,0,1.0\n")
     with pytest.raises(ValueError, match=":2:"):
-        features_from_csv(bad)
+        _read_records(bad)
 
 
 def test_feature_csv_reader_rejects_malformed_rows(tmp_path):
@@ -437,15 +440,22 @@ def test_feature_csv_reader_rejects_malformed_rows(tmp_path):
     ]:
         path.write_text("\n".join([header, good, good, bad, good]) + "\n")
         with pytest.raises(ValueError, match=f"features.csv:4: bad feature row: {message}"):
-            features_from_csv(path)
+            _read_records(path)
 
 
-def test_feature_csv_writer_rejects_mixed_widths(tmp_path):
-    frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = list(generate_configuration(PARAMS, frame, [0, 1], [0.3]))
-    records[2].h = records[2].h[:50]
-    with pytest.raises(ValueError, match="shape"):
-        features_to_csv(records, tmp_path / "features.csv")
+@pytest.mark.parametrize(
+    "rows, h, message",
+    [
+        (3, np.zeros(3), "h has shape (3,), 3 fronts need shape (3, d)"),
+        (2, np.zeros((3, 4)), "h has shape (3, 4), 2 fronts need shape (2, d)"),
+        (0, np.zeros((0, 4)), "no records to write"),
+    ],
+    ids=["1-d", "row-count", "empty"],
+)
+def test_feature_csv_writer_refuses_a_pair_of_the_wrong_shape(tmp_path, rows, h, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        features_to_csv(([(0, 1, 0.5, False)] * rows, h), tmp_path / "features.csv")
+    assert os.listdir(tmp_path) == []
 
 
 def _records_equal(a, b):
@@ -502,7 +512,7 @@ def test_feature_csv_round_trip_in_blocks(tmp_path, processes):
     records = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5, 0.9], amplified=True)
     path = tmp_path / "features.csv"
     features_to_csv(records, path)
-    _records_equal(features_from_csv(path), records)
+    _records_equal(_read_records(path), _records(records))
     # Every child was waited for.
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -526,7 +536,7 @@ def test_each_gets_every_row_once_in_file_order_in_no_empty_block(
     blocks = []
     assert features_from_csv(path, lambda fronts, h: blocks.append((fronts, h))) is None
     assert blocks and all(fronts for fronts, _ in blocks)
-    _records_equal(_block_records(blocks), records)
+    _records_equal(_block_records(blocks), _records(records))
 
 
 def _block_records(blocks):
@@ -539,6 +549,24 @@ def _block_records(blocks):
     return records
 
 
+def _records(rows):
+    """The records of a Configuration or of a (fronts, h) pair."""
+    return _block_records(rows.blocks() if isinstance(rows, theory.Configuration) else [rows])
+
+
+def _read_records(path):
+    """The records of the blocks features_from_csv hands on."""
+    blocks = []
+    features_from_csv(path, lambda fronts, h: blocks.append((fronts, h)))
+    return _block_records(blocks)
+
+
+def _pair(config):
+    """The records of a Configuration as one (fronts, h) pair."""
+    blocks = list(config.blocks())
+    return [f for fronts, _ in blocks for f in fronts], np.concatenate([h for _, h in blocks])
+
+
 def test_a_configuration_slice_is_its_records_bit_for_bit(monkeypatch):
     # Blocks of a few rows of 100 floats, so that a range spans several.
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
@@ -546,7 +574,7 @@ def test_a_configuration_slice_is_its_records_bit_for_bit(monkeypatch):
         config = generate_configuration(
             PARAMS, frame, [2, 0, 1], [0.0, 0.3, 0.5, 1.0], amplified=amplified
         )
-        listed = list(config)
+        listed = _records(config)
         for lo, hi, rows in [(0, len(config), 2), (3, 17, 2), (5, 6, 3), (29, 36, 4),
                              (10, 3, 1), (1, 30, 7), (0, len(config), len(config))]:
             monkeypatch.setattr(_floattext, "CHUNK", 100 * rows)
@@ -580,42 +608,40 @@ def test_feature_csv_reader_names_the_file_line_of_a_bad_row_in_any_block(tmp_pa
             with pytest.raises(
                 ValueError, match=f"features.csv:{bad_lines[0]}: bad feature row: {message}"
             ):
-                features_from_csv(path)
+                _read_records(path)
         # Blank lines in two blocks and no newline after the bad last row.
         rows = [good] * 29 + [bad]
         rows[1] = rows[27] = ""
         path.write_text("\n".join([header, *rows]))
         with pytest.raises(ValueError, match=f"features.csv:31: bad feature row: {message}"):
-            features_from_csv(path)
+            _read_records(path)
 
 
 @pytest.mark.parametrize("where", [0, -1], ids=["first-block", "last-block"])
 def test_feature_csv_writer_error_leaves_no_part_file(tmp_path, processes, where):
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = list(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
-    records[where].lam = "x"
+    fronts, h = _pair(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
+    i, ip, _, amplified = fronts[where]
+    fronts[where] = (i, ip, "x", amplified)
     with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
-        features_to_csv(records, tmp_path / "features.csv")
+        features_to_csv((fronts, h), tmp_path / "features.csv")
     assert os.listdir(tmp_path) == ["features.csv"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_feature_csv_writer_names_the_first_record_that_is_not_finite(tmp_path, processes, value):
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = list(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
+    fronts, h = _pair(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
     path = tmp_path / "features.csv"
     # One bad record in the first process's range, in the last one's, in
-    # both, and a same-class record, whose row others share.
+    # both, and a same-class record.
     for bad in ([1], [17], [5, 17], [4]):
-        rows = [r.h for r in records]
+        bad_h = h.copy()
         for k in bad:
-            records[k].h = records[k].h.copy()
-            records[k].h[k] = value
+            bad_h[k, k] = value
         with pytest.raises(ValueError, match=f"^feature record {min(bad)}: value {value} is not "):
-            features_to_csv(records, path)
+            features_to_csv((fronts, bad_h), path)
         assert os.listdir(tmp_path) == ["features.csv"]
-        for r, h in zip(records, rows):
-            r.h = h
     # A configuration's same-class rows, formatted before any fork.
     config = generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5])
     config = theory.Configuration(
@@ -638,10 +664,12 @@ def test_feature_csv_writer_refuses_a_row_start_the_reader_rejects(
     tmp_path, processes, field, value, message
 ):
     frame = build_simplex_etf(10, 100, 3.0, seed=0)
-    records = list(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
-    setattr(records[13], field, value)
+    fronts, h = _pair(generate_configuration(PARAMS, frame, [0, 1, 2], [0.3, 0.5]))
+    front = list(fronts[13])
+    front[["class_i", "class_ip", "lam"].index(field)] = value
+    fronts[13] = tuple(front)
     with pytest.raises(ValueError, match=f"^feature record 13: {message}$"):
-        features_to_csv(records, tmp_path / "features.csv")
+        features_to_csv((fronts, h), tmp_path / "features.csv")
     assert os.listdir(tmp_path) == ["features.csv"]
 
 
@@ -729,7 +757,7 @@ def test_feature_csv_reader_matches_the_per_line_reader(tmp_path, monkeypatch, n
     want = _outcome(reference_features_from_csv, path)
     if processes > 1:
         _split_io(monkeypatch, processes)
-    assert _outcome(features_from_csv, path) == want
+    assert _outcome(_read_records, path) == want
 
 
 @pytest.mark.parametrize("processes", [1, 3])
@@ -747,9 +775,9 @@ def test_the_writers_layout_is_parsed_without_the_per_line_reader(
     if processes > 1:
         _split_io(monkeypatch, processes)
     monkeypatch.setattr(theory, "_parse_row", per_line)
-    assert _outcome(features_from_csv, path) == want
+    assert _outcome(_read_records, path) == want
     for name in GOLDEN_FEATURES:
-        assert len(features_from_csv(DATA / f"{name}.csv")) > 0
+        assert len(_read_records(DATA / f"{name}.csv")) > 0
 
 
 def test_reading_a_thousand_by_thousand_file_holds_under_1_6_megabytes(tmp_path, monkeypatch):
@@ -784,7 +812,7 @@ def test_one_cpu_never_forks(tmp_path, monkeypatch):
     path = tmp_path / "features.csv"
     features_to_csv(records, path)
     assert path.read_text() == reference_features_csv(records)
-    _records_equal(features_from_csv(path), records)
+    _records_equal(_read_records(path), _records(records))
 
 
 def test_process_count(monkeypatch):

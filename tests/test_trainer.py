@@ -371,13 +371,25 @@ def test_extract_preserves_order_and_tags():
     x, y = data
     rng = np.random.default_rng(5)
     batch = make_mixup_batch(x, y, BetaSpec(1.0), 12, rng, 3)
-    records = extract_activations(model, batch)
-    assert len(records) == 12
-    for k, r in enumerate(records):
-        assert r.lam == batch.lam[k]
-        assert (r.class_i, r.class_ip) == (y[batch.src_i[k]], y[batch.src_j[k]])
-        assert r.kind == ("same_class" if r.class_i == r.class_ip else "different_class")
-        assert r.h.shape == (model.config.width,)
+    fronts, h = extract_activations(model, batch)
+    assert len(fronts) == 12
+    assert h.shape == (12, model.config.width)
+    for k, (i, ip, lam, _) in enumerate(fronts):
+        assert lam == batch.lam[k]
+        assert (i, ip) == (y[batch.src_i[k]], y[batch.src_j[k]])
+
+
+def test_extract_is_the_last_layer_of_one_forward_pass_bit_for_bit():
+    data = small_data()
+    model = train(data, small_config())
+    x, y = data
+    batch = make_mixup_batch(x, y, BetaSpec(1.0), 40, np.random.default_rng(7), 3)
+    fronts, h = extract_activations(model, batch)
+    post, _ = forward_pass(
+        model.weights, model.biases, model.clf_w, model.clf_b, model.config.activation, batch.x
+    )
+    assert [f[3] for f in fronts] == [False] * 40
+    assert h.tobytes() == post[-1].tobytes()
 
 
 def test_batched_extraction_matches_per_row_forward_passes():
@@ -386,15 +398,15 @@ def test_batched_extraction_matches_per_row_forward_passes():
     x, y = data
     rng = np.random.default_rng(3)
     batch = make_mixup_batch(x, y, BetaSpec(1.0), 200, rng, 3)
-    records = extract_activations(model, batch)
-    for row, r in zip(batch.x, records):
+    _, h = extract_activations(model, batch)
+    for row, got in zip(batch.x, h):
         post, _ = forward_pass(
             model.weights, model.biases, model.clf_w, model.clf_b,
             model.config.activation, row[None, :],
         )
         ref = post[-1][0]
         # one matrix product per batch sums in another order than one per row
-        assert np.linalg.norm(r.h - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_zero_weight_network_gives_constant_activation():
@@ -405,9 +417,9 @@ def test_zero_weight_network_gives_constant_activation():
         b[:] = 0.25
     x, y = small_data()
     batch = make_mixup_batch(x, y, BetaSpec(1.0), 5, np.random.default_rng(0), 3)
-    records = extract_activations(model, batch)
-    for r in records[1:]:
-        assert np.array_equal(r.h, records[0].h)
+    _, h = extract_activations(model, batch)
+    for row in h[1:]:
+        assert np.array_equal(row, h[0])
 
 
 def test_trajectory_single_layer_matches_extract():
@@ -417,8 +429,8 @@ def test_trajectory_single_layer_matches_extract():
     batch = make_mixup_batch(x, y, BetaSpec(1.0), 1, np.random.default_rng(1), 3)
     traj = layer_trajectory(model, batch.x[0])
     assert len(traj) == 1
-    rec = extract_activations(model, batch)[0]
-    assert np.array_equal(traj[0], rec.h)
+    _, h = extract_activations(model, batch)
+    assert np.array_equal(traj[0], h[0])
 
 
 def test_trajectory_lambda_one_is_pure_source():

@@ -123,7 +123,9 @@ def test_total_objective_matches_per_sample_loop_on_a_configuration():
     records = generate_configuration(params, frame, [0, 1, 2], lams, amplified=True)
     cfg = UfmConfig(lambda_h=1e-6)
     direct = sum(
-        per_sample_loss(frame.rows, r.h, r.class_i, r.class_ip, r.lam, cfg) for r in records
+        per_sample_loss(frame.rows, row, i, ip, lam, cfg)
+        for fronts, h in records.blocks()
+        for (i, ip, lam, _), row in zip(fronts, h)
     ) / len(records)
     report = total_objective(frame.rows, records, cfg)
     assert report.mean_per_sample == pytest.approx(direct, rel=1e-13)
