@@ -3,11 +3,15 @@
 Every solver takes its parameters (C, m2, lh and, for the
 different-class equations, the mixing coefficient lam) as numpy arrays
 that broadcast together, so a whole grid of parameter cells and mixing
-coefficients is one solve. All equations go through one bracketed root
-finder, Chandrupatla's (1997) hybrid of inverse quadratic interpolation
-and bisection, run elementwise: each element iterates and stops on its
-own, so a value solved alone gives bit-for-bit the result it gets
-inside a batch.
+coefficients is one solve. Each fixed-point equation goes through one
+bracketed root finder, Chandrupatla's (1997) hybrid of inverse quadratic
+interpolation and bisection; the inner equation t + exp(t) = r, which
+each evaluation of the different-class equation solves, is convex and
+goes by Newton's method from above. Both run elementwise, and no element
+depends on its batch-mates: Chandrupatla's method drops each element as
+it converges, and a Newton step leaves a settled element's bits alone.
+So a value solved alone gives bit-for-bit the result it gets inside a
+batch.
 
 ``m2`` always denotes the squared classifier multiplier and ``lh`` the
 feature-decay coefficient. The tail inner product k < 0 is solved in
@@ -163,31 +167,45 @@ def solve_same_class_k(C, m2, lh):
 
 def _inner(r):
     """Root t of t + exp(t) = r, elementwise (the Lambert W function,
-    t = log W(exp(r))). Substituting each bracket end into t + exp(t) - r
-    shows its sign."""
-    big = r > 1.0
+    t = log W(exp(r)); Corless et al., 1996).
+
+    f(t) = t + exp(t) - r increases and is convex, so Newton's method
+    started above the root only moves down towards it and needs no
+    bracket. It starts at log(r) for r > 1, where f = log(r) > 0, and at
+    r otherwise, where f = exp(r) > 0. A step that rounding would turn
+    upwards is not taken, so every element settles on a float where the
+    step no longer moves it; further steps taken for its batch-mates
+    leave its bits alone.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(big, np.log(0.5 * r), r - 1.0)
-        hi = np.where(big, np.log(r), r)
-    return _find_root(
-        lambda t, r: t + np.exp(t) - r, lo, hi, _X_LIMITS, _naming("inner solve", r=r), [r]
+        t = np.where(r > 1.0, np.log(r), r)
+    for _ in range(_MAX_ITER):
+        e = np.exp(t)
+        step = np.minimum(t, t - (t + e - r) / (1.0 + e))
+        moved = step != t
+        if not moved.any():
+            return t
+        t = step
+    j = np.flatnonzero(moved)[0]
+    raise KernelSolveError(
+        f"{_naming('inner solve', r=r)(j)}: no convergence in {_MAX_ITER} iterations"
     )
 
 
-def _diff_state(u, lam, c2, neg_beta, log_neg_beta, log_c2):
+def _diff_state(u, a, c2, log_neg_beta, log_c2):
     """Outer residual and inner product x = <w_i, h> at k = -exp(u).
 
     With beta = (1-C)*lh/(C*m2), the tail identity fixes the partition
     sum S through log(S) = k - log(beta*k). The inner product solves
     x = log(S) + log(lam + beta*x); putting lam + beta*x = -beta*exp(t)
-    turns it into t + exp(t) = lam/(-beta) - k + u, and then
+    turns it into t + exp(t) = a - k + u with a = lam/(-beta), and then
     x = k - u + t. The residual is log((C-2)*exp(k) + exp(x) + exp(x_ip))
     minus log(S), with x_ip = -(C-2)*k - x; it increases with u. The
-    cell constants are c2 = C - 2, -beta and their logs.
+    cell constants are c2 = C - 2 and the logs of -beta and C - 2.
     """
     k = -np.exp(u)
     log_s = k - log_neg_beta - u
-    x = k - u + _inner(lam / neg_beta - k + u)
+    x = k - u + _inner(a - k + u)
     x_ip = -c2 * k - x
     tail = k + log_c2
     top = np.maximum(np.maximum(tail, x), x_ip)
@@ -205,27 +223,31 @@ def solve_diff_k(C, m2, lh, lams):
     what = _naming("different-class fixed point", C=C, m2=m2, lh=lh, lam=lams)
     C, m2, lh, lams = (np.asarray(v, dtype=float) for v in (C, m2, lh, lams))
     c2 = C - 2.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         neg_beta = (C - 1.0) * lh / (C * m2)
-    cell = [c2, neg_beta, _math_log(neg_beta), _math_log(c2)]
-    bad = ~(np.isfinite(cell[2]) & np.isfinite(cell[3]))
-    if bad.any():
-        j = np.flatnonzero(np.broadcast_to(bad, np.broadcast_shapes(bad.shape, lams.shape)))[0]
-        raise KernelSolveError(f"{what(j)}: log(-beta) or log(C - 2) is not finite")
+        a = lams / neg_beta
+    cell = [c2, _math_log(neg_beta), _math_log(c2)]
+    for bad, text in (
+        (~(np.isfinite(cell[1]) & np.isfinite(cell[2])), "log(-beta) or log(C - 2) is not finite"),
+        (~np.isfinite(a), "lam/(-beta) is not finite"),
+    ):
+        if bad.any():
+            j = np.flatnonzero(np.broadcast_to(bad, a.shape))[0]
+            raise KernelSolveError(f"{what(j)}: {text}")
     u = _find_root(
-        lambda u, lam, *cell: _diff_state(u, lam, *cell)[0],
+        lambda u, a, *cell: _diff_state(u, a, *cell)[0],
         -1.0,
         1.0,
         _U_LIMITS,
         what,
-        [lams, *cell],
+        [a, *cell],
     )
-    k, x = -np.exp(u), _diff_state(u, lams, *cell)[1]
+    k, x = -np.exp(u), _diff_state(u, a, *cell)[1]
     # x = k - u + t keeps few digits where x is small beside u. One Newton
     # step on x - k for x + exp(x - k + u) = lam/(-beta), which holds no
     # u, restores them; x - k + u is t to rounding, so exp stays finite.
     e = np.exp(x - k + u)
-    return k, x - (x + e - lams / neg_beta) / (1.0 + e)
+    return k, x - (x + e - a) / (1.0 + e)
 
 
 def solve_two_class_inner(m2, lh, lams):

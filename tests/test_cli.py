@@ -1164,6 +1164,20 @@ def test_theory_solve_reports_an_unsolvable_cell_in_one_line(capsys):
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_lambda_over_minus_beta_that_overflows_is_one_error_line(capsys):
+    # m**2 is finite, but -beta is subnormal and lam/(-beta) overflows;
+    # the solve names it before any root find and no numpy warning shows.
+    argv = ["oracle-check", "--C-list", "3", "--m-list", "1e150",
+            "--lambda-h-list", "1e-10", "--lambda-list", "0.5"]
+    code, stdout, stderr = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "error: different-class fixed point (C=3, m2=9.999999999999999e+299, lh=1e-10, "
+        "lam=0.5): lam/(-beta) is not finite\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["theory-solve", "--m", "1e200", "--samples", "3"], ["oracle-check", "--m-list", "3,1e200"]],

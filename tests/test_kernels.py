@@ -145,3 +145,53 @@ def test_cell_without_finite_logs_is_named():
         kernels.solve_diff_k(4, 1e-300, 1e300, 0.5)
     with pytest.raises(kernels.KernelSolveError):
         solve_grid([TheoryParams(C=3, m=1e150, lambda_h=1e-300)], [0.5])
+    # -beta is subnormal here, so its log is finite but lam/(-beta) is not.
+    with pytest.raises(
+        kernels.KernelSolveError,
+        match=r"^different-class fixed point \(C=3, m2=1e\+300, lh=1e-10, lam=0\.5\): "
+        r"lam/\(-beta\) is not finite$",
+    ):
+        kernels.solve_diff_k(3, 1e300, 1e-10, 0.5)
+
+
+INNER_RS = [-1e300, *np.linspace(-50.0, 50.0, 201).tolist(), 1.0, float(np.nextafter(1.0, 2.0)),
+            1e18, 1e300]
+
+
+def test_inner_root_is_as_good_as_bisection():
+    # Where exp(t) is large no float t has a residual of a few ulps of r,
+    # so the root is held to the bisection's own residual, plus two ulps.
+    ts = kernels._inner(np.array(INNER_RS)).tolist()
+    for r, t in zip(INNER_RS, ts):
+        def f(v):
+            return v + math.exp(v) - r
+
+        ref = _bisect(f, *((math.log(0.5 * r), math.log(r)) if r > 1.0 else (r - 1.0, r)))
+        assert abs(f(t)) <= abs(f(ref)) + 2.0 * kernels._EPS * max(1.0, abs(r)), (r, t, ref)
+        assert abs(t - ref) <= 2.0 * kernels._EPS * max(1.0, abs(ref)), (r, t, ref)
+
+
+def test_inner_root_alone_matches_the_batch():
+    batch = kernels._inner(np.array(INNER_RS))
+    for j, r in enumerate(INNER_RS):
+        assert kernels._inner(np.array([r])).tobytes() == batch[j:j + 1].tobytes(), r
+
+
+def test_inner_solve_names_a_nan():
+    with pytest.raises(kernels.KernelSolveError, match=r"^inner solve \(r=nan\): no convergence"):
+        kernels._inner(np.array([0.5, np.nan, 2.0]))
+
+
+def test_one_bracketed_root_find_per_different_class_solve(monkeypatch):
+    # Only the outer equation in u is bracketed; each of its evaluations
+    # solves the inner equation without calling the root finder.
+    calls = []
+    find_root = kernels._find_root
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return find_root(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_find_root", counting)
+    kernels.solve_diff_k(10, 9.0, 1e-6, np.linspace(0.005, 0.995, 100))
+    assert calls == [kernels._U_LIMITS]
