@@ -6,10 +6,12 @@ rows_text formats each row of a 2-D float64 array as
 repr is positional with a fractional part (1e-4 <= |x| < 1e16, not
 integral), and +-0.0, is converted by the common path of Ryu (Ulf Adams,
 "Ryu: fast float-to-string conversion", PLDI 2018) in numpy integer
-arithmetic, and repr's layout is applied to its digits. Every other
-float goes through repr one at a time: exponent form, integral values,
-subnormals, inf and nan, powers of two and Ryu's rare trailing-zeros
-case.
+arithmetic, with Ryu's power of five in one 64-bit word (5^i < 2^52
+there); the point comes from a table per binary exponent and the integer
+part from trunc(|x|). Every other float goes through repr one at a time:
+exponent form, integral values, subnormals, inf and nan, powers of two
+and Ryu's rare trailing-zeros case. About 185 ns a float against 670 for
+repr (4000 floats of theory-paper's features, 2-vCPU Xeon guest).
 
 floats reads fields of text, about CHUNK at a time: -?D+.D+ in numpy
 integer arithmetic (SWAR digit conversion, then Clinger's exact path or
@@ -41,44 +43,45 @@ _WIDTH = 28
 
 _U = {
     k: np.uint64(k)
-    for k in (0, 1, 2, 3, 7, 8, 9, 10, 16, 32, 52, 53, 56, 63, 0x1E, 0x1FF, 0x7FF, 1000)
+    for k in (0, 1, 3, 7, 8, 9, 10, 16, 32, 52, 53, 56, 63, 64, 0x1E, 0x1FF, 0x7FF, 1000)
     + (10**4, 10**8, 10**16, 2**32 - 1, 2**52 - 1, 2**52, 2**53)
 }
 
 
 def _tables():
-    """Ryu's quantities for each fast-path exponent, indexed by biased
-    exponent - _LO: e10 = q + e2; the mask of mv's low q bits; the shift
-    that takes the 179-bit product (2 m2 - 1) * 5^i, less its low 96
-    bits, to vm, and 32 less that shift; and the four 32-bit limbs of
-    5^i scaled to 125 bits (Ryu's DOUBLE_POW5_SPLIT[i])."""
-    e10, low_q, shift, limbs = [], [], [], []
+    """For each fast-path exponent, indexed by biased exponent - _LO:
+    Ryu's e10 = q + e2; 5^i, below 2^52, and q - 1, the power of two the
+    product (2 m2 - 1) * 5^i is divided by, with the mask of its low
+    q - 1 bits; the point of the row's least value 2^e, Ryu's
+    log10Pow2(e) + 1; and the float nearest 10 to that power, from which
+    on the row's values take their point one place further right."""
+    e10, pow5, exp2, point = [], [], [], []
     for biased in range(_LO, _HI + 1):
         e2 = biased - 1023 - 52 - 2
         q = ((-e2 * 732923) >> 20) - 1
-        i = -e2 - q
-        pow5bits = ((i * 1217359) >> 19) + 1
-        split = 5**i << (125 - pow5bits)
         e10.append(q + e2)
-        low_q.append((1 << q) - 1)
-        # Ryu shifts (4 m2 - 2) * 5^i right by j = q - pow5bits + 125.
-        shift.append(q - pow5bits + 125 - 1 - 96)
-        limbs.append([(split >> (32 * k)) & 0xFFFFFFFF for k in range(4)])
-    u64 = np.uint64
-    shift = np.array(shift, dtype=u64)
+        pow5.append(5 ** (-e2 - q))
+        exp2.append(q - 1)
+        point.append(((biased - 1023) * 78913 >> 18) + 1)
+    exp2 = np.array(exp2, dtype=np.uint64)
     return (
         np.array(e10, dtype=np.intp),
-        np.array(low_q, dtype=u64),
-        shift,
-        u64(32) - shift,
-        np.array(limbs, dtype=u64).T.copy(),
+        np.array(pow5, dtype=np.uint64),
+        exp2,
+        (_U[1] << exp2) - _U[1],
+        np.array(point, dtype=np.intp),
+        np.array([float(f"1e{p}") for p in point]),
     )
 
 
-_E10, _LOW_Q, _SHIFT, _UNSHIFT, _LIMBS = _tables()
+_E10, _POW5, _EXP2, _LOW, _POINT, _TEN = _tables()
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 # 5 * 10**(k - 1): the least k dropped digits that round up; none for k = 0.
 _HALF = np.array([2**64 - 1] + [5 * 10**k for k in range(18)], dtype=np.uint64)
+# 9 * 10**k (0 from 2**64 on): an integer part times 9 * 10**k, plus the
+# number it leads with k digits after the point, is the two with a 0
+# between them for the point; and the reader takes that 0 out again.
+_NINES = np.array([9 * 10**k if k < 19 else 0 for k in range(_WIDTH)], dtype=np.uint64)
 
 
 def _quads():
@@ -97,56 +100,50 @@ _ZEROS = _QUADS[0]
 _SUFFIX = np.arange(_WIDTH) >= np.arange(_WIDTH + 1)[:, None]
 
 
-def _digits(bits, biased):
-    """(digits, exponent, fast) of float64 bit patterns and their biased
-    exponents: where fast, the shortest digits of the common path of
-    Ryu's d2d as an integer, with |x| = digits * 10**exponent; elsewhere
-    garbage."""
+def _digits(bits, row):
+    """(digits, exponent, fast) of float64 bit patterns in the fast-path
+    exponents, row = biased exponent - _LO: where fast, the shortest
+    digits of the common path of Ryu's d2d as an integer, with |x| =
+    digits * 10**exponent; elsewhere garbage."""
     u = _U
-    fast = (biased >= np.uint64(_LO)) & (biased <= np.uint64(_HI))
-    row = np.clip(biased.astype(np.intp) - _LO, 0, _HI - _LO)
     v = bits & u[2**52 - 1]
     # Not a power of two, whose interval is asymmetric, and not Ryu's
-    # trailing-zeros case: mv = 4 m2 a multiple of 2^q.
-    fast &= v != u[0]
+    # trailing-zeros case: mv = 4 m2 a multiple of 2^q, 2 m2 of 2^(q - 1).
+    fast = v != u[0]
     v |= u[2**52]
-    fast &= ((v << u[2]) & _LOW_Q.take(row)) != u[0]
-    # vm, vr, vp = (v + {0, 1, 2}) * 5^i >> (j - 1) for v = 2 m2 - 1: the
-    # 54-bit v times the 125-bit 5^i in 32-bit limbs, in five columns of
-    # 2^32 that each hold under 2^56.
-    v <<= u[1]
-    v -= u[1]
-    v_hi = v >> u[32]
+    low_bits = _LOW.take(row)
+    fast &= ((v << u[1]) & low_bits) != u[0]
+    # vm, vr, vp = (v + {0, 1, 2}) * 5^i >> (q - 1) for v = 2 m2 - 1, as
+    # Ryu's 125-bit 5^i gives them: the 54-bit v times 5^i in two words,
+    # from four products of 32-bit halves; then vm's remainder plus 5^i
+    # or 2 * 5^i, under 2^53, carries into vr and vp.
+    v = (v << u[1]) - u[1]
+    pow5 = _POW5.take(row)
+    v_hi, a_hi, a_lo = v >> u[32], pow5 >> u[32], pow5 & u[2**32 - 1]
     v &= u[2**32 - 1]
-    a = [limb.take(row) for limb in _LIMBS]
-    cols = [np.zeros_like(v) for _ in range(5)]
-    for k in range(4):
-        low = v * a[k]
-        cols[k + 1] += low >> u[32]
-        low &= u[2**32 - 1]
-        cols[k] += low
-        low = np.multiply(v_hi, a[k], out=low)
-        cols[k + 1] += low
-    del v, v_hi, low
-    shift = _SHIFT.take(row)
-    cols[4] <<= _UNSHIFT.take(row)
-    vm, vr, vp = (cols[0].copy() for _ in range(3))
-    for k in range(4):
-        if k:
-            vm >>= u[32]
-            vr >>= u[32]
-            vp >>= u[32]
-            vm += cols[k]
-            vr += cols[k]
-            vp += cols[k]
-        vr += a[k]
-        vp += a[k]
-        vp += a[k]
-    del cols[:4], a
-    for v in (vm, vr, vp):
-        v >>= shift
-        v += cols[0]
-    del cols, shift
+    low = v * a_lo
+    mid = v * a_hi
+    a_lo *= v_hi
+    mid += a_lo
+    mid += low >> u[32]
+    v_hi *= a_hi
+    v_hi += mid >> u[32]
+    low &= u[2**32 - 1]
+    mid <<= u[32]
+    low |= mid
+    del v, a_hi, a_lo, mid
+    exp2 = _EXP2.take(row)
+    vm = low >> exp2
+    v_hi <<= u[64] - exp2
+    vm |= v_hi
+    low &= low_bits
+    low += pow5
+    vr = low >> exp2
+    vr += vm
+    low += pow5
+    vp = low >> exp2
+    vp += vm
+    del v_hi, low, low_bits, pow5, exp2
     # Ryu drops digits while vp and vm still differ above them, and
     # rounds half up on the last one dropped.
     vp[~fast] = u[0]
@@ -174,41 +171,47 @@ def _text(x, sep):
     u = _U
     bits = x.view(np.uint64)
     zero = (bits << u[1]) == u[0]
-    biased = (bits >> u[52]) & u[0x7FF]
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        # trunc of a signalling nan, and the cast of nan, inf and values
+        # of 2^64 on, whose integer parts are not used.
+        whole = np.trunc(ax)
+        maybe = ax != whole
+        y = whole.astype(np.uint64)
+    del whole
+    row = ((bits >> u[52]) & u[0x7FF]).astype(np.intp) - _LO
     # Ryu runs on the floats that may take the fast path: +-0.0, and those
     # in its exponent range that are not integral.
-    with np.errstate(invalid="ignore"):
-        # trunc of a signalling nan.
-        maybe = x != np.trunc(x)
-    maybe &= (biased >= np.uint64(_LO)) & (biased <= np.uint64(_HI))
+    maybe &= (row >= 0) & (row <= _HI - _LO)
     maybe |= zero
+    # +-0.0 falls in row 0, whose point, -4, is below 1.
+    np.minimum(np.maximum(row, 0, out=row), _HI - _LO, out=row)
     if maybe.all():
-        digits, exponent, fast = _digits(bits, biased)
+        digits, exponent, fast = _digits(bits, row)
     else:
         some = np.flatnonzero(maybe)
         digits = np.zeros(x.size, dtype=np.uint64)
         exponent = np.zeros(x.size, dtype=np.intp)
         fast = np.zeros(x.size, dtype=bool)
-        digits[some], exponent[some], fast[some] = _digits(bits[some], biased[some])
-    del biased, maybe
+        digits[some], exponent[some], fast[some] = _digits(bits[some], row[some])
+    # repr is positional for point > -4, and a fast-path value is below
+    # 2^50 and has a fraction.
+    point = _POINT.take(row)
+    point += ax >= _TEN.take(row)
+    del maybe, row, ax
+    fast &= point > -4
     # +-0.0 takes the fast path as 0 * 10**-1.
     fast |= zero
     digits[zero] = u[0]
     exponent[zero] = -1
     del zero
-    point = np.searchsorted(_POW10, digits, side="right")
-    point += exponent
-    # repr is positional for -4 < point <= 16; exponent < 0 is a fraction.
-    fast &= (exponent < 0) & (point > -4) & (point <= 16)
-    frac = np.clip(np.negative(exponent, out=exponent), 0, 20, out=exponent)
-    # The digits with a 0 inserted for the point after the integer part:
-    # y = int * 10**(frac + 1) + frac_digits.
-    scale = _POW10.take(np.minimum(frac, 18))
-    y = digits // scale
-    y *= scale
-    y *= u[9]
+    frac = np.negative(exponent, out=exponent)
+    np.minimum(np.maximum(frac, 0, out=frac), 20, out=frac)
+    # The digits with a 0 inserted for the point after the integer part
+    # y = trunc(|x|), exact below 2^52: y * 10**(frac + 1) + frac_digits.
+    y *= _NINES.take(frac)
     y += digits
-    del digits, scale
+    del digits
     # Column 0 holds the separator, column 1 a minus sign, and the digits
     # and point run from column start to the last.
     start = np.maximum(point, 1, out=point)
@@ -223,19 +226,18 @@ def _text(x, sep):
         quads[:, k] = _QUADS.take(y.astype(np.intp))
         y = rest
     del y, rest
-    text[np.arange(x.size), _WIDTH - 1 - frac] = ord(".")
+    text.reshape(-1)[np.arange(_WIDTH - 1, x.size * _WIDTH, _WIDTH) - frac] = ord(".")
     slow = np.flatnonzero(~fast)
     if slow.size:
         reprs = [repr(v).encode() for v in x[slow].tolist()]
-        pad = b"".join(r.rjust(24) for r in reprs)
+        pad = b"".join(r.rjust(24, b"\0") for r in reprs)
         text[slow, _WIDTH - 24 :] = np.frombuffer(pad, dtype=np.uint8).reshape(-1, 24)
         start[slow] = [_WIDTH - len(r) for r in reprs]
+    # Every byte but the text and its separator and sign is 0, and goes.
+    text *= _SUFFIX.take(start, axis=0)
     text[:, 0] = sep
-    text[:, 1] = ord("-")
-    keep = _SUFFIX.take(start, axis=0)
-    keep[:, 0] = sep != 0
-    keep[:, 1] = fast & (bits >> u[63] != u[0])
-    return text[keep].tobytes()
+    text[:, 1] = (fast & (bits >> u[63] != u[0])).view(np.uint8) * np.uint8(ord("-"))
+    return text.tobytes().translate(None, b"\0")
 
 
 def block_rows(width: int) -> int:
@@ -282,10 +284,8 @@ _KEEP = _KEEP_LOW[np.clip(np.arange(WINDOW + 2)[:, None] - 8 * np.arange(3), 0, 
 # A lone byte 1 at byte k of word j, times _AT[j], puts 8 j + k in the top
 # byte.
 _AT = [np.uint64(sum((8 * j + 7 - k) << 8 * k for k in range(8))) for j in range(3)]
-# Clinger's powers of ten, exact in float64; and 9 * 10**lf, which takes
-# out the digit the point left in a number with lf digits after it.
+# Clinger's powers of ten, exact in float64.
 _POW10F = np.array([float(10**k) for k in range(WINDOW)])
-_NINES = np.array([9 * 10**k if k < 19 else 0 for k in range(WINDOW)], dtype=np.uint64)
 
 
 def _eisel_lemire_tables():

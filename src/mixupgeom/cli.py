@@ -119,7 +119,9 @@ def cmd_oracle_check(args) -> int:
     grid = theory.solve_grid(cells, lams)
     worst = 0.0
     failed = False
-    print(f"{'C':>4} {'m':>6} {'lambda_h':>10} {'lambda':>8} {'grad_resid':>12} {'status':>8}")
+    # m as repr, which tells every two multipliers apart, in one column.
+    width = max(6, *(len(repr(params.m)) for params in cells))
+    print(f"{'C':>4} {'m':>{width}} {'lambda_h':>10} {'lambda':>8} {'grad_resid':>12} {'status':>8}")
     for params, (same, sols) in zip(cells, grid):
         C, m, lh = params.C, params.m, params.lambda_h
         frame = build_simplex_etf(C, C, m, seed=0)
@@ -133,13 +135,13 @@ def cmd_oracle_check(args) -> int:
             ok = resid <= GRAD_TOL
             failed = failed or not ok
             print(
-                f"{C:>4} {m:>6.2f} {lh:>10.1e} {lam:>8.3f} "
+                f"{C:>4} {m!r:>{width}} {lh:>10.1e} {lam:>8.3f} "
                 f"{resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
             )
         ok = same.residual <= SAME_TOL
         failed = failed or not ok
         print(
-            f"{C:>4} {m:>6.2f} {lh:>10.1e} {'same':>8} "
+            f"{C:>4} {m!r:>{width}} {lh:>10.1e} {'same':>8} "
             f"{same.residual:>12.3e} {'ok' if ok else 'FAIL':>8}"
         )
     if failed:

@@ -2,12 +2,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixupgeom
 from mixupgeom import _floattext, calibration, cli, theory
 from mixupgeom.cli import main, parse_config
 from mixupgeom.etf import build_simplex_etf
@@ -196,6 +200,61 @@ def test_oracle_check_one_cell_at_two_thousand_classes(capsys):
     code, stdout, _ = run(argv, capsys)
     assert code == 0
     assert "FAIL" not in stdout
+
+
+def test_oracle_check_prints_each_multiplier_apart_in_one_column(capsys):
+    argv = ["oracle-check", "--C-list", "2", "--m-list", "1e-5,2e-5,0.5,1e150",
+            "--lambda-h-list", "1e-10", "--lambda-list", "0.5"]
+    _, stdout, _ = run(argv, capsys)
+    header, *rows = stdout.splitlines()
+    # Each cell prints its lambda line and its same-class line.
+    assert [row.split()[1] for row in rows] == [
+        "1e-05", "1e-05", "2e-05", "2e-05", "0.5", "0.5", "1e+150", "1e+150"
+    ]
+    assert {len(row) for row in rows} == {len(header)}
+    end = header.index("m") + 1
+    assert all(row[end - 1] != " " and row[end] == " " for row in rows)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(
+    _cpus() < 2,
+    reason="one CPU: OpenBLAS then runs one thread whatever OPENBLAS_NUM_THREADS asks for",
+)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: build_simplex_etf(1000, 1000, 3, 0) differs in its last bits "
+    "between one and two BLAS threads",
+)
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(mixupgeom.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def cli_stdout(threads, *argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        command = [sys.executable, "-m", "mixupgeom.cli", *argv]
+        return subprocess.run(
+            command, env=env, capture_output=True, check=True, timeout=300
+        ).stdout
+
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"features-{threads}.csv"
+        solve = cli_stdout(threads, "theory-solve", "--C", "1000", "--d", "1000",
+                           "--classes", "3", "--samples", "20", "--out", str(out))
+        oracle = cli_stdout(threads, "oracle-check", "--C-list", "1000")
+        summary = Path(f"{out}.summary.json").read_bytes()
+        outputs.append({"theory-solve stdout": solve, "feature CSV": out.read_bytes(),
+                        "summary": summary, "oracle-check stdout": oracle})
+    differ = [name for name in outputs[0] if outputs[0][name] != outputs[1][name]]
+    assert not differ
 
 
 def test_oracle_check_negative_control(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,46 @@ def test_edge_families():
     values += (rng.integers(0, 2**53, size=2000) + 0.5).tolist()
     assert_as_repr(values)
     assert_as_repr(values[: len(values) // 7 * 7], d=7)
+
+
+def _ryu_q(biased):
+    """Ryu's q for a float below 2**52 with this biased exponent, whose e2
+    = biased - 1077 is below -1: floor(log10(5**-e2)) - 1."""
+    return len(str(5 ** (1077 - biased))) - 2
+
+
+def test_each_fast_path_row_holds_its_power_of_five_in_one_word():
+    rows = range(_floattext._LO, _floattext._HI + 1)
+    assert len(rows) == len(_floattext._POW5) == len(_floattext._POINT)
+    for row, biased in enumerate(rows):
+        q = _ryu_q(biased)
+        assert int(_floattext._POW5[row]) == 5 ** (1077 - biased - q) < 2**52
+        assert int(_floattext._EXP2[row]) == q - 1 and 1 <= q - 1 <= 63
+        assert int(_floattext._LOW[row]) == 2 ** (q - 1) - 1
+        # The row's least value 2**e has its point at _POINT[row].
+        point, least = int(_floattext._POINT[row]), Fraction(2) ** (biased - 1023)
+        assert Fraction(10) ** (point - 1) <= least < Fraction(10) ** point
+        assert _floattext._TEN[row] == float(Fraction(10) ** point)
+
+
+def test_edge_mantissas_of_every_exponent_near_the_fast_path():
+    bits = []
+    for biased in range(1007, 1075):
+        mantissas = [1, 2, 3, 2**51, 2**52 - 2, 2**52 - 1]
+        q = _ryu_q(biased)
+        if q >= 2:
+            # Ryu's trailing-zeros case: 4 * (2**52 + m) a multiple of 2**q.
+            step = 2 ** (q - 2)
+            mantissas += [step, 3 * step, 2**52 - step, step - 1, step + 1]
+        bits += [sign << 63 | biased << 52 | m for sign in (0, 1) for m in mantissas]
+    assert_as_repr(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_every_rows_point_threshold_and_its_neighbours():
+    values = []
+    for ten in _floattext._TEN.tolist():
+        values += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, np.inf)]
+    assert_as_repr(values + [-v for v in values])
 
 
 @settings(max_examples=300, deadline=None)

@@ -29,6 +29,10 @@ bracketed solve, which stops on another float within the same
 tolerance: theory_c3_cell_log.csv (18 lines) and oracle_check.txt
 (7 lines; every status stays ok).
 
+oracle_check.txt was rewritten once more when its m column changed from
+two decimals to repr, which tells every two multipliers apart: 144
+lines, each in that column only.
+
 The cell-log case was found by search: there -beta = 0.00382... is one
 of the few inputs at which np.log and math.log differ in the last bit,
 so it fails if the kernels take the cell logs with np.log.
