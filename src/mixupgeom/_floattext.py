@@ -1,17 +1,22 @@
 """Shortest round-trip text of float64 arrays, byte for byte as repr, and
 its inverse, decimal text read bit for bit as float() reads it.
 
-rows_text formats each row of a 2-D float64 array as
-",".join(map(repr, row)), about CHUNK floats at a time. A float whose
-repr is positional with a fractional part (1e-4 <= |x| < 1e16, not
-integral), and +-0.0, is converted by the common path of Ryu (Ulf Adams,
-"Ryu: fast float-to-string conversion", PLDI 2018) in numpy integer
-arithmetic, with Ryu's power of five in one 64-bit word (5^i < 2^52
-there); the point comes from a table per binary exponent and the integer
-part from trunc(|x|). Every other float goes through repr one at a time:
-exponent form, integral values, subnormals, inf and nan, powers of two
-and Ryu's rare trailing-zeros case. About 185 ns a float against 670 for
-repr (4000 floats of theory-paper's features, 2-vCPU Xeon guest).
+rows_bytes writes CSV rows: for an n x w head array and an n x d float
+array, the bytes of head + ",".join(map(repr, row)) + "\n" for each row.
+A block of rows of about CHUNK floats is one uint8 buffer of rows [head |
+cells | "\n"], each float in a cell of _WIDTH bytes, its repr
+right-aligned after zero bytes; one bytes.translate per block drops the
+zeros. A float whose repr is positional with a fractional part (1e-4 <=
+|x| < 1e16, not integral), and +-0.0, is converted by the common path of
+Ryu (Ulf Adams, "Ryu: fast float-to-string conversion", PLDI 2018) in
+numpy integer arithmetic, with Ryu's power of five in one 64-bit word
+(5^i < 2^52 there); the point comes from a table per binary exponent and
+the integer part from trunc(|x|). Every other float goes through repr
+one at a time: exponent form, integral values, subnormals, inf and nan,
+powers of two and Ryu's rare trailing-zeros case. About 185 ns a float
+against 670 for repr (4000 floats of theory-paper's features, 2-vCPU
+Xeon guest). cells gives a row's cells before the zeros are dropped, for
+text that is formatted once and gathered into many rows.
 
 floats reads fields of text, about CHUNK at a time: -?D+.D+ in numpy
 integer arithmetic (SWAR digit conversion, then Clinger's exact path or
@@ -166,8 +171,9 @@ def _digits(bits, row):
 
 
 def _text(x, sep):
-    """The bytes of repr(x[k]) for each k, each after the byte sep[k] (0
-    for none)."""
+    """The text of repr(x[k]) for each k as row k of an x.size x _WIDTH
+    uint8 array: the byte sep[k] (0 for none), then repr right-aligned,
+    every byte between them 0."""
     u = _U
     bits = x.view(np.uint64)
     zero = (bits << u[1]) == u[0]
@@ -237,7 +243,7 @@ def _text(x, sep):
     text *= _SUFFIX.take(start, axis=0)
     text[:, 0] = sep
     text[:, 1] = (fast & (bits >> u[63] != u[0])).view(np.uint8) * np.uint8(ord("-"))
-    return text.tobytes().translate(None, b"\0")
+    return text
 
 
 def block_rows(width: int) -> int:
@@ -245,28 +251,69 @@ def block_rows(width: int) -> int:
     return max(1, CHUNK // max(width, 1))
 
 
-def rows_text(a):
-    """Yield ",".join(map(repr, row)) for each row of the 2-D float array
-    a, byte for byte; whole rows of about CHUNK floats are formatted at a
-    time, and a row of more in passes of CHUNK."""
+def cells(a, out=None):
+    """The text of each row of the 2-D float array a as rows_bytes lays it
+    out, in out (an n x d * _WIDTH uint8 array, new when None): d cells of
+    _WIDTH bytes, each repr(value) right-aligned after a ',' (none in a
+    row's first cell) and zero bytes. A block of whole rows of at most
+    CHUNK floats (block_rows) is formatted in one pass, a row of more in
+    passes of CHUNK."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     n, d = a.shape
+    if out is None:
+        out = np.empty((n, d * _WIDTH), dtype=np.uint8)
     if not d:
-        yield from [""] * n
-        return
-    sep = np.full(CHUNK, ord(","), dtype=np.uint8)
+        return out
     rows = block_rows(d)
-    for lo in range(0, n, rows):
-        flat = a[lo : lo + rows].reshape(-1)
-        parts = []
-        for at in range(0, flat.size, CHUNK):
-            x = flat[at : at + CHUNK]
-            sep[: x.size] = ord(",")
-            sep[-at % d : x.size : d] = ord("\n")
-            if not at:
-                sep[0] = 0
-            parts.append(_text(x, sep[: x.size]))
-        yield from b"".join(parts).decode("ascii").split("\n")
+    if d <= CHUNK:
+        sep = np.full(rows * d, ord(","), dtype=np.uint8)
+        sep[::d] = 0
+        for lo in range(0, n, rows):
+            flat = a[lo : lo + rows].reshape(-1)
+            out[lo : lo + rows] = _text(flat, sep[: flat.size]).reshape(-1, d * _WIDTH)
+        return out
+    sep = np.full(CHUNK, ord(","), dtype=np.uint8)
+    for k in range(n):
+        for at in range(0, d, CHUNK):
+            x = a[k, at : at + CHUNK]
+            sep[0] = ord(",") if at else 0
+            out[k, at * _WIDTH : (at + x.size) * _WIDTH] = _text(x, sep[: x.size]).reshape(-1)
+    return out
+
+
+def padded(texts) -> np.ndarray:
+    """The byte strings texts as the rows of a uint8 array, each after as
+    many zero bytes as the longest needs: a table of heads for rows_bytes."""
+    width = max(map(len, texts), default=0)
+    joined = b"".join(text.rjust(width, b"\0") for text in texts)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(texts), width)
+
+
+def rows_bytes(head, a, table=None, pick=None) -> bytes:
+    """The bytes of head[k] + ",".join(map(repr, a[k])) + "\n" for each
+    row k of the n x d float array a, with head an n x w uint8 array whose
+    zero bytes are dropped. Where pick (an n-array) is given, a row k with
+    pick[k] >= 0 takes its text from row pick[k] of table, an earlier
+    cells result of width d, and a[k] is not read.
+
+    The rows are laid out as one uint8 buffer of rows [head | cells |
+    "\n"], and one bytes.translate drops its zero bytes: no Python step
+    runs per row. The caller sizes the block; its floats are formatted in
+    passes of about CHUNK (cells)."""
+    a = np.asarray(a)
+    n, d = a.shape
+    w = head.shape[1]
+    out = np.empty((n, w + d * _WIDTH + 1), dtype=np.uint8)
+    out[:, :w] = head
+    out[:, -1] = ord("\n")
+    text = out[:, w:-1]
+    if pick is None:
+        cells(a, text)
+    else:
+        have = pick >= 0
+        text[have] = table[pick[have]]
+        text[~have] = cells(a[~have])
+    return out.tobytes().translate(None, b"\0")
 
 
 # Reading. A field is read from the WINDOW bytes that end at its end, as

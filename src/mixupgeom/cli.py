@@ -119,9 +119,15 @@ def cmd_oracle_check(args) -> int:
     grid = theory.solve_grid(cells, lams)
     worst = 0.0
     failed = False
-    # m as repr, which tells every two multipliers apart, in one column.
+    # m, lambda_h and lambda as repr, which tells every two values apart,
+    # each in a column as wide as its longest value.
     width = max(6, *(len(repr(params.m)) for params in cells))
-    print(f"{'C':>4} {'m':>{width}} {'lambda_h':>10} {'lambda':>8} {'grad_resid':>12} {'status':>8}")
+    width_h = max(10, *(len(repr(lh)) for lh in lhs))
+    width_l = max(8, *(len(repr(lam)) for lam in lams))
+    print(
+        f"{'C':>4} {'m':>{width}} {'lambda_h':>{width_h}} {'lambda':>{width_l}} "
+        f"{'grad_resid':>12} {'status':>8}"
+    )
     for params, (same, sols) in zip(cells, grid):
         C, m, lh = params.C, params.m, params.lambda_h
         frame = build_simplex_etf(C, C, m, seed=0)
@@ -135,13 +141,13 @@ def cmd_oracle_check(args) -> int:
             ok = resid <= GRAD_TOL
             failed = failed or not ok
             print(
-                f"{C:>4} {m!r:>{width}} {lh:>10.1e} {lam:>8.3f} "
+                f"{C:>4} {m!r:>{width}} {lh!r:>{width_h}} {lam!r:>{width_l}} "
                 f"{resid:>12.3e} {'ok' if ok else 'FAIL':>8}"
             )
         ok = same.residual <= SAME_TOL
         failed = failed or not ok
         print(
-            f"{C:>4} {m!r:>{width}} {lh:>10.1e} {'same':>8} "
+            f"{C:>4} {m!r:>{width}} {lh!r:>{width_h}} {'same':>{width_l}} "
             f"{same.residual:>12.3e} {'ok' if ok else 'FAIL':>8}"
         )
     if failed:
@@ -293,8 +299,13 @@ def cmd_project(args) -> int:
     if args.center_mean:
         if not fronts:
             raise ValueError(f"{args.features}: no feature rows to take a mean of")
-        # np.mean's axis-0 sum bit for bit, without an n x d copy.
-        center = sum(row for h in blocks for row in h) / len(fronts)
+        # The sum of the rows in file order, one addition at a time, as
+        # the Python sum of them gives it, bit for bit and -0.0 included:
+        # each block's axis-0 reduce starts from the sum so far.
+        total = np.zeros((1, d))
+        for h in blocks:
+            total = np.add.reduce(np.concatenate([total, h]), axis=0, keepdims=True)
+        center = total[0] / len(fronts)
         op = projection.build_projection(w, center)
         blocks = [projection.project(op, h) for h in blocks]
     points = np.concatenate([np.empty((0, 2)), *blocks])

@@ -62,9 +62,9 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 
 def _draw(n: int, spec: BetaSpec, batch_size: int, rng: np.random.Generator):
     """Source rows i and j and coefficients lam of batch_size samples of
-    an n-row dataset, drawn in that order."""
-    i = rng.integers(n, size=batch_size)
-    j = rng.integers(n, size=batch_size)
+    an n-row dataset, drawn in that order. i and j come from one call,
+    whose stream is that of drawing all of i and then all of j."""
+    i, j = rng.integers(n, size=(2, batch_size))
     return i, j, sample_lambdas(spec, batch_size, rng)
 
 

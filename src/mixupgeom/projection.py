@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _floattext
-from .theory import CSV_FRONT, _tags
+from .theory import CSV_FRONT, _columns, _heads
 
 # Triangle vertices as columns: one up, two down, unit norm, zero sum.
 TRIANGLE = np.array(
@@ -128,6 +128,11 @@ POINTS_HEADER = ",".join(CSV_FRONT + ["px", "py"])
 def points_to_csv(fronts, points: np.ndarray) -> str:
     """The points CSV: the tags of each (class_i, class_ip, lambda,
     amplified) in fronts, followed by its projected point."""
-    texts = _floattext.rows_text(points)
-    lines = [POINTS_HEADER, *(f"{_tags(*front)},{text}" for front, text in zip(fronts, texts))]
-    return "\n".join(lines) + "\n"
+    parts = [POINTS_HEADER.encode() + b"\n"]
+    if fronts:
+        head, rows = _heads(*_columns(fronts)), _floattext.block_rows(2)
+        parts += [
+            _floattext.rows_bytes(head[lo : lo + rows], points[lo : lo + rows])
+            for lo in range(0, len(points), rows)
+        ]
+    return b"".join(parts).decode("ascii")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import array
 import contextlib
 import math
+import operator
 import os
 import pickle
 import shutil
@@ -253,24 +254,34 @@ class Configuration:
     def __len__(self):
         return len(self.lams) * len(self.classes) ** 2
 
-    def blocks(self, lo=0, hi=None):
-        """(fronts, h) of the records lo, ..., hi - 1, about
-        _floattext.CHUNK floats at a time (_floattext.block_rows): the
-        (class_i, class_ip, lambda, amplified) of each and their h as a
-        rows x d array."""
+    def _blocks(self, lo=0, hi=None, step=None):
+        """(t, pair, h) of the records lo, ..., hi - 1, step records (by
+        default about _floattext.CHUNK floats, _floattext.block_rows) at a
+        time: the lambda index t and class pair index k % s^2 of each as
+        arrays, and their h as a rows x d array."""
         hi = len(self) if hi is None else hi
         s, classes = len(self.classes), np.array(self.classes)
-        step = _floattext.block_rows(self.rows.shape[1])
+        step = step or _floattext.block_rows(self.rows.shape[1])
         for first in range(lo, hi, step):
             k = np.arange(first, min(first + step, hi))
-            t, a, b = k // (s * s), classes[k // s % s], classes[k % s]
+            t, pair = np.divmod(k, s * s)
+            a, b = classes[pair // s], classes[pair % s]
             h = self.coeff_i[t, None] * self.rows[a]
             h += self.coeff_ip[t, None] * self.rows[b]
             if self.eps is not None:
                 h += self.eps[t, None] * (self.rows[a] + self.rows[b])
             same = a == b
             h[same] = self.same_coeff * self.rows[a[same]]
-            amplified = (~same & (self.eps is not None)).tolist()
+            yield t, pair, h
+
+    def blocks(self, lo=0, hi=None):
+        """(fronts, h) of the records lo, ..., hi - 1, in the blocks of
+        _blocks: the (class_i, class_ip, lambda, amplified) of each and
+        their h as a rows x d array."""
+        s, classes = len(self.classes), np.array(self.classes)
+        for t, pair, h in self._blocks(lo, hi):
+            a, b = classes[pair // s], classes[pair % s]
+            amplified = ((a != b) & (self.eps is not None)).tolist()
             lams = [self.lams[j] for j in t.tolist()]
             yield list(zip(a.tolist(), b.tolist(), lams, amplified)), h
 
@@ -356,7 +367,7 @@ def _forked(work, n: int, folder, mode: str):
     waited for, and then the first child's error is raised here as a
     ValueError; an exception of j = 0 is raised instead. work must make no
     BLAS call in a child: a fork copies no thread, and BLAS may have some.
-    The writer's children format with _floattext.rows_text, whose numpy
+    The writer's children format with _floattext.rows_bytes, whose numpy
     integer arithmetic calls no BLAS; what j = 0 does here (the reader's
     projection of its own rows, say) may call BLAS."""
     with contextlib.ExitStack() as stack:
@@ -396,13 +407,6 @@ def _forked(work, n: int, folder, mode: str):
         yield parts
 
 
-def _tags(class_i, class_ip, lam, amplified) -> str:
-    """The CSV_FRONT columns of a row, as every feature and points CSV
-    writes them."""
-    kind = SAME_CLASS if class_i == class_ip else DIFFERENT_CLASS
-    return f"{class_i},{class_ip},{float(lam)!r},{kind},{int(amplified)}"
-
-
 def _front_problem(i, ip, lam: float):
     """Why class ids i, ip and lambda lam cannot start a feature row, or
     None."""
@@ -414,53 +418,165 @@ def _front_problem(i, ip, lam: float):
     return f"lambda {lam} is not in [0, 1]"
 
 
-def _write_rows(blocks, first: int, fh, same_texts) -> None:
-    """The CSV lines of the (fronts, h) blocks, whose rows are records
-    first, first + 1, .... A same-class row of a class in same_texts is
-    written with that text. A negative class id, a lambda outside [0, 1]
-    or an h value that is not finite raises ValueError naming its
-    record."""
-    for fronts, h in blocks:
-        for k, (i, ip, lam, _) in enumerate(fronts, first):
-            problem = _front_problem(i, ip, float(lam))
-            if problem:
-                raise ValueError(f"feature record {k}: {problem}")
-        texts = [same_texts.get(f[0]) if f[0] == f[1] else None for f in fronts]
-        new = [k for k, text in enumerate(texts) if text is None]
-        h = h[new] if len(new) < len(texts) else h
-        bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
-        if bad.size:
-            row = h[bad[0]]
-            raise ValueError(
-                f"feature record {first + new[bad[0]]}: "
-                f"value {row[~np.isfinite(row)][0]} is not finite"
-            )
-        for k, text in zip(new, _floattext.rows_text(h)):
-            texts[k] = text
-        fh.write("".join(f"{_tags(*f)},{text}\n" for f, text in zip(fronts, texts)))
-        first += len(fronts)
+def _check_front(k: int, i, ip, lam: float) -> None:
+    """Raise ValueError naming feature record k if its class ids i, ip and
+    lambda lam have a _front_problem."""
+    problem = _front_problem(i, ip, lam)
+    if problem:
+        raise ValueError(f"feature record {k}: {problem}")
+
+
+def _refuse(bad, first: int, i, ip, lam) -> None:
+    """_check_front of the first row k with bad[k], as feature record
+    first + k, where row k has class ids i[k], ip[k] and lambda lam[k]."""
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        _check_front(first + k, int(i[k]), int(ip[k]), float(lam[k]))
+
+
+def _refuse_h(h, rows, first: int) -> None:
+    """Raise ValueError naming the first row of h that holds a value that
+    is not finite, as feature record first + rows[k] for row k of h."""
+    bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+    if bad.size:
+        row = h[bad[0]]
+        raise ValueError(
+            f"feature record {first + rows[bad[0]]}: "
+            f"value {row[~np.isfinite(row)][0]} is not finite"
+        )
+
+
+def _tag_tables(i, ip, amplified):
+    """The CSV_FRONT text of a row before and after its lambda, "i,ip," and
+    ",kind,flag,", for each (class_i, class_ip, amplified) of the lists,
+    as two _floattext.padded tables."""
+    before = [f"{a},{b},".encode() for a, b in zip(i, ip)]
+    after = [
+        f",{SAME_CLASS if a == b else DIFFERENT_CLASS},{int(f)},".encode()
+        for a, b, f in zip(i, ip, amplified)
+    ]
+    return _floattext.padded(before), _floattext.padded(after)
+
+
+def _columns(fronts):
+    """The class_i, class_ip, lambda and amplified of (class_i, class_ip,
+    lambda, amplified) tuples, as four arrays. A class id that is not an
+    integer raises TypeError, a lambda that float() refuses its error."""
+    i, ip, lam, amplified = zip(*fronts)
+    count = len(fronts)
+    i, ip = (np.fromiter(map(operator.index, c), np.int64, count) for c in (i, ip))
+    lam = np.fromiter(map(float, lam), np.float64, count)
+    return i, ip, lam, np.fromiter(amplified, bool, count)
+
+
+def _heads(i, ip, lam, amplified) -> np.ndarray:
+    """The CSV_FRONT text and ',' of each row, for arrays of its class ids,
+    lambda and amplified flag, as rows of a uint8 array padded with zero
+    bytes (the head of _floattext.rows_bytes). The text around lambda comes
+    from a table of each (class_i, class_ip, amplified) that occurs."""
+    (ids, code), (ids_p, code_p) = (np.unique(c, return_inverse=True) for c in (i, ip))
+    key = (code.reshape(-1) * len(ids_p) + code_p.reshape(-1)) * 2 + amplified
+    keys, key = np.unique(key, return_inverse=True)
+    pairs, flags = np.divmod(keys, 2)
+    before, after = _tag_tables(
+        ids[pairs // len(ids_p)].tolist(), ids_p[pairs % len(ids_p)].tolist(), flags.tolist()
+    )
+    key = key.reshape(-1)
+    return np.concatenate([before[key], _floattext.cells(lam[:, None]), after[key]], axis=1)
+
+
+def _configuration_lines(config: Configuration):
+    """lines(lo, hi), the bytes of the CSV rows of records lo, ..., hi - 1
+    of config, a block (Configuration._blocks) at a time. The text around
+    lambda comes from a table of the s^2 class pairs, each lambda is
+    formatted once, and so is each class's same-class row, which every
+    same-class record of a class whose row is finite takes. A block holds
+    about _floattext.CHUNK floats that are formatted anew, which is more
+    records than that many floats, since each float pass has a fixed
+    cost."""
+    s, classes = len(config.classes), np.array(config.classes, dtype=np.int64)
+    a, b = np.repeat(classes, s), np.tile(classes, s)
+    before, after = _tag_tables(a.tolist(), b.tolist(), (a != b) & (config.eps is not None))
+    lams = np.array(config.lams, dtype=np.float64)
+    lam_text = _floattext.cells(lams[:, None])
+    same = config.same_coeff * config.rows[classes]
+    same_text = _floattext.cells(same)
+    # The same-class table row of each class pair: its class's, where the
+    # pair is same-class and that row is finite; else -1, formatted anew.
+    index = np.arange(s * s) // s
+    take = np.where((a == b) & np.isfinite(same).all(axis=1)[index], index, -1)
+    bad_pair, bad_lam = (a < 0) | (b < 0), ~((lams >= 0.0) & (lams <= 1.0))
+    fresh_pairs = max(np.count_nonzero(take < 0), 1)
+    step = _floattext.block_rows(config.rows.shape[1]) * s * s // fresh_pairs
+
+    def lines(lo, hi):
+        first = lo
+        for t, pair, h in config._blocks(lo, hi, step):
+            _refuse(bad_pair[pair] | bad_lam[t], first, a[pair], b[pair], lams[t])
+            pick = take[pair]
+            fresh = np.flatnonzero(pick < 0)
+            _refuse_h(h[fresh] if fresh.size < len(pick) else h, fresh, first)
+            head = np.concatenate([before[pair], lam_text[t], after[pair]], axis=1)
+            yield _floattext.rows_bytes(head, h, same_text, pick)
+            first += len(pick)
+
+    return lines
+
+
+def _pair_lines(fronts, h):
+    """lines(lo, hi), the bytes of the CSV rows of records lo, ..., hi - 1
+    of a (fronts, h) pair, a block of _floattext.block_rows rows at a time.
+    The range's fronts become arrays, and their heads are made (_heads),
+    at once; each block's fronts are checked before its h."""
+    step = _floattext.block_rows(h.shape[1])
+
+    def lines(lo, hi):
+        try:
+            i, ip, lam, amplified = _columns(fronts[lo:hi])
+        except (TypeError, ValueError, OverflowError):
+            # An earlier block's problem, else the conversion's error.
+            for first in range(lo, hi, step):
+                last = min(first + step, hi)
+                for k, (c, c_p, v, _) in enumerate(fronts[first:last], first):
+                    _check_front(k, c, c_p, float(v))
+                _refuse_h(h[first:last], range(last - first), first)
+            raise
+        bad = (i < 0) | (ip < 0) | ~((lam >= 0.0) & (lam <= 1.0))
+        head = _heads(i, ip, lam, amplified)
+        for at in range(0, hi - lo, step):
+            block, rows = slice(at, at + step), h[lo + at : min(lo + at + step, hi)]
+            _refuse(bad[block], lo + at, i[block], ip[block], lam[block])
+            _refuse_h(rows, range(len(rows)), lo + at)
+            yield _floattext.rows_bytes(head[block], rows)
+
+    return lines
 
 
 def features_to_csv(rows, path) -> None:
     """Header class_i,class_ip,lambda,kind,amplified,h_0,...,h_{d-1}, then
     one row per record of rows: a Configuration, or a (fronts, h) pair of
     (class_i, class_ip, lambda, amplified) tuples and a len(fronts) x d
-    array. The kind follows from the class pair. An h value that is not
-    finite raises ValueError naming its record, counted from 0. The
-    records are cut into one contiguous range per process
-    (_process_count), each written in blocks of about _floattext.CHUNK
-    floats (_floattext.block_rows: Configuration.blocks, or slices of the
-    pair). The first range is written to path, every other by a child of
-    _forked to its part, in path's folder, and the parts are appended to
-    path in order. Each same-class row of a Configuration is formatted
-    once, before any fork."""
+    array. The kind follows from the class pair. A negative class id, a
+    lambda outside [0, 1] or an h value that is not finite raises
+    ValueError naming its record, counted from 0; in each block the first
+    two are looked for before the third.
+
+    The records are cut into one contiguous range per process
+    (_process_count), each written in blocks (Configuration._blocks, or
+    slices of _floattext.block_rows rows of the pair), each block's rows
+    as one buffer of bytes from _floattext.rows_bytes, in one write. Their
+    heads are gathered from small tables: the text around lambda for each
+    class pair and flag that occurs, and lambda's text, formatted once per
+    lambda of a Configuration and once per range of a pair. Each
+    same-class row of a Configuration is formatted once, before any fork,
+    and a block of a Configuration holds about _floattext.CHUNK floats
+    that are formatted anew (_configuration_lines). The first range is
+    written to path, every other by a child of _forked to its binary
+    part, in path's folder, and the parts are appended to path in
+    order."""
     if isinstance(rows, Configuration):
-        count, d, classes = len(rows), rows.rows.shape[1], rows.classes
-        same = rows.same_coeff * rows.rows[classes]
-        # A row that is not finite is left to _write_rows, which names it.
-        ok = np.isfinite(same).all(axis=1)
-        same_texts = {a: t for a, t, f in zip(classes, _floattext.rows_text(same), ok) if f}
-        blocks = rows.blocks
+        count, d = len(rows), rows.rows.shape[1]
+        lines = _configuration_lines(rows)
     else:
         fronts, h = rows
         if np.ndim(h) != 2 or len(h) != len(fronts):
@@ -468,26 +584,21 @@ def features_to_csv(rows, path) -> None:
             raise ValueError(f"h has shape {np.shape(h)}, {n} fronts need shape ({n}, d)")
         if not fronts:
             raise ValueError("no records to write")
-        (count, d), same_texts = h.shape, {}
-
-        def blocks(lo, hi):
-            step = _floattext.block_rows(d)
-            for first in range(lo, hi, step):
-                last = min(first + step, hi)
-                yield fronts[first:last], h[first:last]
+        count, d = h.shape
+        lines = _pair_lines(fronts, h)
 
     n = _process_count(count * d)
     cuts = [count * j // n for j in range(n + 1)]
     folder = os.path.dirname(os.path.abspath(path))
-    with open(path, "w") as out:
-        out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]) + "\n")
+    with open(path, "wb") as out:
+        out.write(",".join(CSV_FRONT + [f"h_{j}" for j in range(d)]).encode() + b"\n")
         # Flushed before the fork, so that no child holds the header.
         out.flush()
 
         def write(j, part):
-            _write_rows(blocks(cuts[j], cuts[j + 1]), cuts[j], part or out, same_texts)
+            (part or out).writelines(lines(cuts[j], cuts[j + 1]))
 
-        with _forked(write, n, folder, "w+") as parts:
+        with _forked(write, n, folder, "w+b") as parts:
             for part in parts:
                 shutil.copyfileobj(part, out)
 

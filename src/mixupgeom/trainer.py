@@ -528,9 +528,15 @@ def dataset_to_csv(inputs: np.ndarray, labels: np.ndarray) -> str:
     inputs = np.asarray(inputs, dtype=float)
     labels = np.asarray(labels, dtype=int)
     header = "label," + ",".join(f"x_{j}" for j in range(inputs.shape[1]))
-    texts = _floattext.rows_text(inputs)
-    lines = [header, *(f"{y},{text}" for y, text in zip(labels.tolist(), texts))]
-    return "\n".join(lines) + "\n"
+    # Each row's label text from a table of the labels that occur.
+    ids, code = np.unique(labels, return_inverse=True)
+    head = _floattext.padded([f"{y},".encode() for y in ids.tolist()])[code.reshape(-1)]
+    rows = _floattext.block_rows(inputs.shape[1])
+    parts = [
+        _floattext.rows_bytes(head[lo : lo + rows], inputs[lo : lo + rows])
+        for lo in range(0, len(inputs), rows)
+    ]
+    return header + "\n" + b"".join(parts).decode("ascii")
 
 
 def dataset_from_csv(text: str, source: str = "<string>", num_classes: int | None = None):

@@ -216,6 +216,23 @@ def test_oracle_check_prints_each_multiplier_apart_in_one_column(capsys):
     assert all(row[end - 1] != " " and row[end] == " " for row in rows)
 
 
+def test_oracle_check_prints_each_decay_and_lambda_apart_in_one_column(capsys):
+    argv = ["oracle-check", "--C-list", "2", "--m-list", "1",
+            "--lambda-h-list", "1e-9,1.01e-9", "--lambda-list", "0.5,0.5001"]
+    _, stdout, _ = run(argv, capsys)
+    header, *rows = stdout.splitlines()
+    cells = [row.split()[2:4] for row in rows]
+    assert cells == [
+        ["1e-09", "0.5"], ["1e-09", "0.5001"], ["1e-09", "same"],
+        ["1.01e-09", "0.5"], ["1.01e-09", "0.5001"], ["1.01e-09", "same"],
+    ]
+    assert len({tuple(row.split()[:4]) for row in rows}) == len(rows)
+    assert {len(row) for row in rows} == {len(header)}
+    for name in ("lambda_h", "lambda "):
+        end = header.index(name) + len(name.strip())
+        assert all(row[end - 1] != " " and row[end] == " " for row in rows)
+
+
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -707,6 +724,34 @@ def test_project_of_a_thousand_wide_rows_holds_no_matrix(tmp_path, capsys):
     assert peak < 4_000_000
 
 
+def test_project_center_mean_is_the_python_sum_of_the_rows_bit_for_bit(
+    tmp_path, capsys, monkeypatch
+):
+    feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
+    rng = np.random.default_rng(6)
+    # Several reader blocks; column 0 all -0.0, whose sum from 0 is +0.0.
+    h = rng.normal(size=(300, 40)) * np.exp(rng.normal(scale=8.0, size=(300, 40)))
+    h[:, 0] = -0.0
+    h[::3, 1] = -0.0
+    fronts = [(k % 3, (k + 1) % 3, 0.5, False) for k in range(len(h))]
+    theory.features_to_csv((fronts, h), feats)
+    _write_rows(clf, rng.normal(size=(3, 40)))
+    centers = []
+    build = cli.projection.build_projection
+
+    def recording(w, activation_mean=None):
+        centers.append(activation_mean)
+        return build(w, activation_mean)
+
+    monkeypatch.setattr(cli.projection, "build_projection", recording)
+    monkeypatch.setattr(_floattext, "CHUNK", 400)
+    argv = ["project", "--features", str(feats), "--classifier", str(clf), "--center-mean"]
+    assert run([*argv, "--out", str(tmp_path / "points.csv")], capsys)[0] == 0
+    want = sum(row for row in h) / len(h)
+    assert centers[-1].tobytes() == want.tobytes()
+    assert math.copysign(1.0, centers[-1][0]) == 1.0
+
+
 @pytest.mark.parametrize("center", [[], ["--center-mean"]], ids=["origin", "center-mean"])
 def test_project_in_small_blocks_on_several_processes_keeps_every_byte(
     tmp_path, capsys, monkeypatch, center
@@ -775,7 +820,7 @@ def test_a_child_that_ends_without_a_result_is_one_error_line(
 
     if command == "theory-solve":
         argv = ["theory-solve", "--samples", "20", "--out", str(out)]
-        monkeypatch.setattr(theory, "_write_rows", dies(theory._write_rows))
+        monkeypatch.setattr(_floattext, "rows_bytes", dies(_floattext.rows_bytes))
     else:
         feats, clf = tmp_path / "features.csv", tmp_path / "clf.csv"
         assert run(["theory-solve", "--samples", "20", "--out", str(feats)], capsys)[0] == 0

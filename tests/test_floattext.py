@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixupgeom import _floattext
-from mixupgeom._floattext import rows_text
+from mixupgeom._floattext import rows_bytes
+
+
+def rows_text(a) -> list[str]:
+    """The text rows_bytes gives each row of the 2-D array a under an
+    empty head, without its newline."""
+    a = np.asarray(a, dtype=float)
+    return rows_bytes(np.empty((len(a), 0), dtype=np.uint8), a).decode().split("\n")[:-1]
 
 
 def reference(a) -> list[str]:
@@ -142,6 +149,28 @@ def test_only_values_off_the_fast_path_go_through_repr(monkeypatch):
     slow = [1e-5, 1e20, 3.0, np.nan, -np.inf, 0.5, 5e-324]
     assert list(rows_text(np.array([slow]))) == reference([slow])
     assert len(calls) == len(slow)
+
+
+def test_rows_bytes_puts_each_head_before_its_row_and_takes_picked_rows_from_a_table(
+    monkeypatch,
+):
+    rng = np.random.default_rng(24)
+    table_rows = [[-0.0, 1e-05, 3.0, np.nan, 0.5], rng.normal(size=5).tolist()]
+    table = _floattext.cells(np.array(table_rows))
+    heads = [b"", b"7,", b"-12,x,", b"abc", b"", b"1e-05,"]
+    pick = np.array([-1, 1, 0, -1, 1, -1])
+    for chunk in (_floattext.CHUNK, 3):
+        monkeypatch.setattr(_floattext, "CHUNK", chunk)
+        a = rng.normal(size=(6, 5))
+        a[0, :2] = [-0.0, 2e-05]
+        want = [head + ",".join(map(repr, row)).encode() + b"\n"
+                for head, row in zip(heads, a.tolist())]
+        assert rows_bytes(_floattext.padded(heads), a) == b"".join(want)
+        for k in np.flatnonzero(pick >= 0).tolist():
+            want[k] = heads[k] + ",".join(map(repr, table_rows[pick[k]])).encode() + b"\n"
+        # A picked row's floats are not read.
+        a[pick >= 0] = np.inf
+        assert rows_bytes(_floattext.padded(heads), a, table, pick) == b"".join(want)
 
 
 def test_one_pass_holds_about_half_a_megabyte():

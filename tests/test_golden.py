@@ -31,7 +31,10 @@ tolerance: theory_c3_cell_log.csv (18 lines) and oracle_check.txt
 
 oracle_check.txt was rewritten once more when its m column changed from
 two decimals to repr, which tells every two multipliers apart: 144
-lines, each in that column only.
+lines, each in that column only. It was rewritten again when its
+lambda_h and lambda columns changed the same way (1.0e-09 to 1e-09,
+0.100 to 0.1): 145 lines, the header and every row in those two columns
+only.
 
 The cell-log case was found by search: there -beta = 0.00382... is one
 of the few inputs at which np.log and math.log differ in the last bit,

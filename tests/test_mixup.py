@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mixupgeom.mixup import (
     BetaSpec,
+    _draw,
     make_mixup_batch,
     mix,
     sample_lambdas,
@@ -185,3 +186,14 @@ def test_batch_rejects_empty_dataset():
             np.zeros((0, 2)), np.zeros(0, dtype=int), BetaSpec(1.0), 4,
             np.random.default_rng(0), 1,
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1500, 2**31 + 7, 10**12])
+def test_draw_takes_i_and_j_from_one_call_as_from_two(n):
+    spec = BetaSpec(0.4)
+    for seed in range(20):
+        i, j, lam = _draw(n, spec, 33, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        want_i, want_j = rng.integers(n, size=33), rng.integers(n, size=33)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        assert lam.tobytes() == sample_lambdas(spec, 33, rng).tobytes()

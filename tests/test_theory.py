@@ -304,17 +304,19 @@ def test_same_class_records_share_one_row_that_is_formatted_once(tmp_path, monke
         assert len(rows) == len(lams) and all(h == rows[0] for h in rows)
     formatted = []
 
-    rows_text = _floattext.rows_text
+    cells = _floattext.cells
 
-    def counting_rows_text(h):
-        formatted.append(h.size)
-        return rows_text(h)
+    def counting_cells(a, out=None):
+        formatted.append(np.shape(a))
+        return cells(a, out)
 
     monkeypatch.setattr(theory, "_process_count", lambda floats: 1)
-    monkeypatch.setattr(_floattext, "rows_text", counting_rows_text)
+    monkeypatch.setattr(_floattext, "cells", counting_cells)
     features_to_csv(records, tmp_path / "features.csv")
-    # One row per class and one per lambda and ordered pair, d floats each.
-    assert sum(formatted) == (3 + len(lams) * 6) * 100
+    # One row per class and one per lambda and ordered pair, d floats each,
+    # and each lambda once.
+    assert sum(n * d for n, d in formatted if d == 100) == (3 + len(lams) * 6) * 100
+    assert sum(n * d for n, d in formatted if d == 1) == len(lams)
     assert (tmp_path / "features.csv").read_text() == reference_features_csv(records)
 
 
@@ -358,6 +360,28 @@ def _extracted_rows():
     return extract_activations(model, batch)
 
 
+def _edge_value_rows():
+    """A pair whose h holds -0.0, values below 1e-4 and exponent forms, and
+    whose lambdas are 0.0, 1.0 and 1e-05."""
+    fronts, h = _pair(generate_configuration(
+        PARAMS, build_simplex_etf(10, 100, 3.0, seed=0), [0, 1, 2], [0.0, 1e-05, 1.0, 0.5],
+    ))
+    h[:, 0] = -0.0
+    h[:, 1] = 0.0
+    h[:, 2] = np.linspace(-9e-5, 9e-5, len(h))
+    h[:, 3] = 3e-300
+    h[::2, 4] = 1e16
+    return fronts, h
+
+
+def _wide_rows():
+    """A pair of rows wider than _floattext.CHUNK, each formatted in
+    several passes."""
+    rng = np.random.default_rng(5)
+    fronts = [(12, 3, 0.25, True), (7, 7, 1e-05, False), (3, 12, 1.0, True)]
+    return fronts, rng.normal(size=(3, _floattext.CHUNK + 900))
+
+
 WRITER_CASES = pytest.mark.parametrize(
     "make",
     [
@@ -374,8 +398,19 @@ WRITER_CASES = pytest.mark.parametrize(
             build_simplex_etf(2, 3, 1.0, seed=0), [0, 1], [0.0, 0.7, 1.0],
         ),
         _extracted_rows,
+        lambda: generate_configuration(
+            TheoryParams(C=12, m=2.0, lambda_h=1e-3), build_simplex_etf(12, 20, 2.0, seed=0),
+            [11, 3, 10], [0.0, 1e-05, 0.4, 1.0], amplified=True,
+        ),
+        lambda: generate_configuration(
+            PARAMS, build_simplex_etf(10, 100, 3.0, seed=0), [2, 0],
+            [0.0, 1.0, 1e-05, 0.3],
+        ),
+        _edge_value_rows,
+        _wide_rows,
     ],
-    ids=["plain", "amplified", "two-class", "extracted"],
+    ids=["plain", "amplified", "two-class", "extracted", "class-ids-from-10",
+         "exponent-lambdas", "edge-values", "wider-than-a-pass"],
 )
 
 
@@ -385,6 +420,19 @@ def test_features_to_csv_matches_the_per_element_writer(tmp_path, make):
     path = tmp_path / "features.csv"
     features_to_csv(records, path)
     assert path.read_text() == reference_features_csv(records)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@WRITER_CASES
+def test_features_to_csv_on_forced_processes_matches_the_per_element_writer(
+    tmp_path, monkeypatch, make, processes
+):
+    monkeypatch.setattr(theory, "_process_count", lambda floats: processes)
+    records = make()
+    path = tmp_path / "features.csv"
+    features_to_csv(records, path)
+    assert path.read_text() == reference_features_csv(records)
+    assert os.listdir(tmp_path) == ["features.csv"]
 
 
 def test_feature_csv_round_trip(tmp_path):
@@ -649,6 +697,41 @@ def test_feature_csv_writer_names_the_first_record_that_is_not_finite(tmp_path, 
     )
     with pytest.raises(ValueError, match="^feature record 0: value (nan|-?inf) is not "):
         features_to_csv(config, path)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # A block is 40 records here: a later block's front problem comes
+        # after an earlier block's h value, and within one block every
+        # front comes before any h value.
+        ({5: "h", 50: -1}, "feature record 5: value nan is not finite"),
+        ({5: "h", 30: -1}, "feature record 30: class -1 is negative"),
+        ({5: "h", 50: "x"}, "feature record 5: value nan is not finite"),
+        ({50: "h", 30: "x"}, "could not convert string to float: 'x'"),
+        ({45: "h", 30: 1.5}, r"feature record 30: lambda 1.5 is not in \[0, 1\]"),
+    ],
+    ids=["h-before-a-later-class", "class-in-the-same-block", "h-before-a-later-text",
+         "text-before-a-later-h", "lambda-before-a-later-h"],
+)
+def test_feature_csv_writer_names_the_first_bad_block_fronts_before_h(
+    tmp_path, monkeypatch, bad, message
+):
+    monkeypatch.setattr(theory, "_process_count", lambda floats: 1)
+    frame = build_simplex_etf(10, 100, 3.0, seed=0)
+    lams = [0.1 * k for k in range(10)]
+    fronts, h = _pair(generate_configuration(PARAMS, frame, [0, 1, 2], lams))
+    assert _floattext.block_rows(100) == 40 and len(fronts) == 90
+    for k, what in bad.items():
+        i, ip, lam, amplified = fronts[k]
+        if what == "h":
+            h[k, 7] = math.nan
+        elif what == -1:
+            fronts[k] = (what, ip, lam, amplified)
+        else:
+            fronts[k] = (i, ip, what, amplified)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        features_to_csv((fronts, h), tmp_path / "features.csv")
 
 
 @pytest.mark.parametrize(
